@@ -44,7 +44,7 @@
 //!
 //! `serve`, `serve-tcp`, and `gen` all take `--shards K` (1..=255): `gen`
 //! stamps the workload file, the serving commands partition the target
-//! space across `K` engine shards behind one front (answers stay
+//! space across `K` row-cache shards of one engine (answers stay
 //! bit-identical to a single engine).
 //!
 //! The serving commands also take `--drop-p P` (each long-range lookup
@@ -110,23 +110,13 @@ fn scheme_for(
     }
 }
 
-/// A `ShardedEngine` over `shards` clones of the named scheme — the
-/// shared construction of `serve` and `serve-tcp` (`shards == 1` is the
-/// plain single-engine shape behind a 1-shard front).
+/// A `ShardedEngine` of `shards` cache partitions serving the named
+/// scheme — the shared construction of `serve` and `serve-tcp`
+/// (`shards == 1` is the plain single-engine shape behind a 1-shard
+/// front).
 fn sharded_engine(g: Graph, scheme_name: &str, cfg: EngineConfig, shards: usize) -> ShardedEngine {
-    // Identical schemes per shard keep the front bit-identical to a
-    // single engine (sampling is driven by per-query RNG streams).
-    let schemes: Vec<_> = (0..shards.max(1))
-        .map(|_| scheme_for(scheme_name, &g, cfg.seed, cfg.threads))
-        .collect();
-    let mut schemes = schemes.into_iter();
-    ShardedEngine::try_new(
-        g,
-        move || schemes.next().expect("one scheme per shard"),
-        cfg,
-        shards,
-    )
-    .unwrap_or_else(|e| {
+    let scheme = scheme_for(scheme_name, &g, cfg.seed, cfg.threads);
+    ShardedEngine::try_new(g, move || scheme, cfg, shards).unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(2);
     })
@@ -202,7 +192,7 @@ fn resolve_fault(
 /// Reads and decodes a snapshot file, restoring a serving front from it
 /// (exiting with a message on any failure). The snapshot carries
 /// everything answer-determining — graph, scheme, seed, cache, faults,
-/// shard count, per-shard counters and rows — so only the
+/// shard count, counters and per-shard rows — so only the
 /// answer-invisible knobs (threads, tracing) come from the caller.
 fn restore_front(path: &str, threads: usize, trace_every: u64) -> ShardedEngine {
     let bytes = std::fs::read(path).unwrap_or_else(|e| {

@@ -56,10 +56,10 @@ pub const MONOTONE_EPS: f64 = 0.02;
 /// at least this fraction of the fault-free warm replay's queries/s.
 /// The comparison is deliberately lopsided — the fault-free warm pass
 /// is nearly pure row-cache hits, while churn pays a per-hop liveness
-/// hash over every neighbour *and* re-walks rows the epoch flips
-/// invalidated — so a 10–20× gap is the honest steady-state cost at
-/// full size. The gate guards against pathological regressions (a
-/// liveness check gone quadratic), not against that inherent gap.
+/// hash over every neighbour (epoch flips keep the rows warm) — so a
+/// several-fold gap is the honest steady-state cost. The gate guards
+/// against pathological regressions (a liveness check gone quadratic),
+/// not against that inherent gap.
 pub const MIN_WARM_RATIO: f64 = 0.05;
 
 /// One measured point of the degradation curve.
@@ -74,7 +74,7 @@ struct FaultRow {
     elapsed_ms: f64,
 }
 
-/// A `ShardedEngine` over `shards` identical uniform-scheme engines.
+/// A uniform-scheme `ShardedEngine` of `shards` cache partitions.
 fn engine(g: &Graph, shards: usize, cfg: EngineConfig) -> ShardedEngine {
     ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg, shards)
 }

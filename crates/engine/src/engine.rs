@@ -26,9 +26,11 @@ pub struct EngineConfig {
     /// Worker threads for row computation and trial execution
     /// (`1` = inline). Never changes answers.
     pub threads: usize,
-    /// Row-cache capacity in bytes (`0` = recompute every batch). The
-    /// same byte knob caps each in-flight query's transient ball-row
-    /// cache under [`SamplerMode::Batched`].
+    /// Row-cache capacity in bytes per cache partition (`0` = recompute
+    /// every batch): a standalone [`Engine`] has one partition, a
+    /// `k`-shard [`crate::ShardedEngine`] front has `k`, each under this
+    /// budget. The same byte knob caps each in-flight query's transient
+    /// ball-row cache under [`SamplerMode::Batched`].
     pub cache_bytes: usize,
     /// Per-step contact-sampling backend the trial workers build.
     /// [`SamplerMode::Scalar`] keeps the engine bit-identical to
@@ -89,21 +91,18 @@ impl Default for EngineConfig {
     }
 }
 
-/// Resumable state of one [`Engine`], as exported for the durability
-/// layer: the lifetime query counter (the RNG index the next `serve`
-/// continues from), the cache's churn epoch, and the resident rows in
-/// re-insertion order with their SLRU tier. Together with the
-/// construction inputs (graph, scheme, [`EngineConfig`]) this is
-/// everything a restore needs to answer the continuation of the stream
-/// bit-identically to the uninterrupted engine.
+/// Resumable state of one row-cache partition, as exported for the
+/// durability layer: the engine's churn epoch and the partition's
+/// resident rows in re-insertion order with their SLRU tier. Together
+/// with the construction inputs (graph, scheme, [`EngineConfig`]) and the
+/// lifetime query counter, this is everything a restore needs to answer
+/// the continuation of the stream bit-identically to the uninterrupted
+/// engine.
 #[derive(Clone, Debug)]
 pub struct EngineState {
-    /// Queries answered over the engine's lifetime ([`Engine::serve`]'s
-    /// next RNG base).
-    pub served: u64,
-    /// The cache's churn epoch at export time, so a restored engine under
-    /// a [`nav_core::faulty::FailurePlan`] resumes in the right epoch
-    /// instead of replaying a purge.
+    /// The churn epoch of the engine's last batch (every partition of
+    /// one engine exports the same value). It only feeds the
+    /// `epoch_flips` counter: rows never go stale.
     pub epoch: u64,
     /// Resident rows in re-insertion order (coldest first per tier); the
     /// `bool` is "protected" (see [`RowCache::export_rows`]).
@@ -133,34 +132,66 @@ pub struct Engine {
     g: Graph,
     scheme: Box<dyn AugmentationScheme + Send>,
     cfg: EngineConfig,
-    cache: RowCache,
-    metrics: EngineMetrics,
+    /// Row-cache partitions: target `t`'s row lives in `caches[t % k]`,
+    /// each partition under its own `cfg.cache_bytes` budget. A
+    /// standalone engine has one; a [`crate::ShardedEngine`] front has
+    /// one per shard — its only per-shard state.
+    caches: Vec<RowCache>,
+    pub(crate) metrics: EngineMetrics,
     obs: Registry,
-    /// Which shard this engine is inside a [`crate::ShardedEngine`]
-    /// front (0 standalone) — stamped into query traces.
-    shard_label: u16,
     /// Lifetime query counter — the RNG index of the next query, which
     /// makes a batched stream equivalent to one long `run_trials`.
-    served: u64,
+    pub(crate) served: u64,
+    /// The churn epoch of the last batch served under a failure plan.
+    /// Only the `epoch_flips` counter reads it: distance rows cover the
+    /// whole graph and churn applies at routing time, so a flip leaves
+    /// every cached row valid.
+    epoch: u64,
     cap: u32,
 }
 
 impl Engine {
     /// Builds an engine owning `g` and `scheme`.
     pub fn new(g: Graph, scheme: Box<dyn AugmentationScheme + Send>, cfg: EngineConfig) -> Self {
+        Self::with_partitions(g, scheme, cfg, 1)
+    }
+
+    /// An engine whose row cache is split into `partitions` (at least 1)
+    /// target partitions, `t % partitions`, each with the full
+    /// `cfg.cache_bytes` budget.
+    pub(crate) fn with_partitions(
+        g: Graph,
+        scheme: Box<dyn AugmentationScheme + Send>,
+        cfg: EngineConfig,
+        partitions: usize,
+    ) -> Self {
         cfg.fault.validate();
         let cap = default_step_cap(&g);
         Engine {
-            cache: RowCache::with_policy(cfg.cache_bytes, cfg.admission),
+            caches: (0..partitions.max(1))
+                .map(|_| RowCache::with_policy(cfg.cache_bytes, cfg.admission))
+                .collect(),
             metrics: EngineMetrics::default(),
             obs: Registry::new(cfg.obs, cfg.seed),
-            shard_label: 0,
             served: 0,
+            epoch: 0,
             cap,
             g,
             scheme,
             cfg,
         }
+    }
+
+    /// Number of target shards: row-cache partitions (1 unless the
+    /// engine was built as a [`crate::ShardedEngine`]).
+    pub fn num_shards(&self) -> usize {
+        self.caches.len()
+    }
+
+    /// The shard owning target `t`: the partition caching its row.
+    #[inline]
+    pub fn shard_of(&self, t: NodeId) -> usize {
+        t as usize % self.caches.len()
     }
 
     /// The graph being served.
@@ -178,9 +209,9 @@ impl Engine {
         &self.cfg
     }
 
-    /// Row-cache counters.
+    /// Row-cache counters, summed over the partitions.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
+        self.caches.iter().map(RowCache::stats).sum()
     }
 
     /// Lifetime service metrics.
@@ -195,11 +226,6 @@ impl Engine {
         self.obs.snapshot()
     }
 
-    /// Labels this engine's traces with its shard index inside a front.
-    pub(crate) fn set_shard_label(&mut self, shard: u16) {
-        self.shard_label = shard;
-    }
-
     /// Queries answered over the engine's lifetime.
     pub fn queries_served(&self) -> u64 {
         self.served
@@ -212,32 +238,38 @@ impl Engine {
         self.scheme.as_ref()
     }
 
-    /// Exports the engine's resumable state (lifetime counter, churn
-    /// epoch, resident cache rows) without disturbing it — the snapshot
-    /// layer's read side.
-    pub fn export_state(&self) -> EngineState {
-        EngineState {
-            served: self.served,
-            epoch: self.cache.epoch(),
-            rows: self.cache.export_rows(),
-        }
+    /// Exports one [`EngineState`] per cache partition, in partition
+    /// order, without disturbing the engine — the snapshot layer's read
+    /// side.
+    pub fn export_state(&self) -> Vec<EngineState> {
+        self.caches
+            .iter()
+            .map(|cache| EngineState {
+                epoch: self.epoch,
+                rows: cache.export_rows(),
+            })
+            .collect()
     }
 
     /// Restores state exported by [`Engine::export_state`] into this
-    /// engine (built from the same graph, scheme, and config): the
-    /// lifetime counter resumes the stream where it stopped, and the
-    /// cache epoch is set **before** the rows are re-admitted so every
-    /// restored row is tagged with the epoch it was exported under —
-    /// otherwise the first post-restore churn check would purge a cache
-    /// that is not stale. Rows larger than this engine's capacity are
-    /// rejected by the cache's normal admission control, so restoring a
-    /// snapshot into a smaller cache stays safe (and visible via
-    /// [`CacheStats::rejected`]).
-    pub fn import_state(&mut self, state: EngineState) {
-        self.served = state.served;
-        self.cache.set_epoch(state.epoch);
-        for (t, row, protected) in state.rows {
-            self.cache.import_row(t, row, protected);
+    /// engine (built from the same graph, scheme, and config, with one
+    /// partition per state): partition `i` re-admits state `i`'s rows.
+    /// Rows larger than a partition's capacity are rejected by the
+    /// cache's normal admission control, so restoring a snapshot into a
+    /// smaller cache stays safe (and visible via
+    /// [`CacheStats::rejected`]). The engine resumes at the largest
+    /// exported epoch (older multi-engine fronts could store one per
+    /// shard); the epoch only feeds the flip counter.
+    ///
+    /// # Panics
+    /// Panics if `states.len()` differs from the partition count.
+    pub fn import_state(&mut self, states: Vec<EngineState>) {
+        assert_eq!(states.len(), self.caches.len(), "one state per partition");
+        self.epoch = states.iter().map(|s| s.epoch).max().unwrap_or(0);
+        for (cache, state) in self.caches.iter_mut().zip(states) {
+            for (t, row, protected) in state.rows {
+                cache.import_row(t, row, protected);
+            }
         }
     }
 
@@ -245,10 +277,12 @@ impl Engine {
     ///
     /// 1. **admission** — validate every endpoint, deduplicate the batch's
     ///    targets;
-    /// 2. **cache** — serve resident rows from the cross-batch LRU;
-    /// 3. **execute (rows)** — pack the cold targets 64 per bit-parallel
-    ///    MS-BFS pass, passes fanned out to `threads` workers, compact
-    ///    each fresh row and admit it to the cache;
+    /// 2. **cache** — serve resident rows from the cross-batch LRU of
+    ///    each target's partition;
+    /// 3. **execute (rows)** — one fill over every cold target: bit-
+    ///    parallel MS-BFS passes of `width` lanes fanned out to `threads`
+    ///    workers, decoded straight into compact rows, each admitted to
+    ///    its partition;
     /// 4. **execute (trials)** — answer queries in parallel, query `i` of
     ///    the batch using the RNG derived from
     ///    `(seed, lifetime_index + i)`.
@@ -284,27 +318,6 @@ impl Engine {
         base: u64,
         sampler: SamplerMode,
     ) -> Result<BatchResult, GraphError> {
-        let bases: Vec<u64> = (0..batch.len() as u64).map(|i| base + i).collect();
-        self.serve_indexed(batch, &bases, sampler)
-    }
-
-    /// [`Self::serve_at`] with *every* query's RNG index explicit: query
-    /// `i` runs on the RNG derived from `(seed, bases[i])`. This is what
-    /// lets a sharded front tear one batch into per-shard sub-batches and
-    /// still answer bit-identically to a single engine: each query keeps
-    /// the RNG index it had in the original stream, no matter which shard
-    /// executes it or in what grouping. The lifetime counter is not
-    /// advanced.
-    ///
-    /// # Panics
-    /// Panics if `bases.len() != batch.len()`.
-    pub fn serve_indexed(
-        &mut self,
-        batch: &QueryBatch,
-        bases: &[u64],
-        sampler: SamplerMode,
-    ) -> Result<BatchResult, GraphError> {
-        assert_eq!(bases.len(), batch.len(), "one RNG index per query required");
         let obs_on = self.obs.stages_enabled();
         let t0 = Instant::now();
         // --- admission -----------------------------------------------
@@ -319,27 +332,26 @@ impl Engine {
         span.finish(self.obs.stages_mut());
         // --- churn tick -----------------------------------------------
         // A batch's churn epoch is the max epoch any of its queries lands
-        // in (stable under query permutation and sub-batch partitioning).
-        // Flipping the cache's epoch purges every resident row, so a
-        // churn tick can never serve state admitted before the tick; it
-        // cannot change answers (distance rows are exact and every query
-        // carries its own epoch via its RNG index) — this is the serving
-        // layer's stale-state invalidation contract, and the flip counter
-        // makes it observable.
+        // in. A change is counted, nothing more: rows are distances over
+        // the whole graph and every query routes under its own epoch (a
+        // pure function of its RNG index), so no cached row goes stale.
         let mut epoch_flips = 0u64;
         if let Some(plan) = self.cfg.fault.plan {
-            if let Some(epoch) = bases.iter().map(|&b| plan.epoch_of(b)).max() {
-                if self.cache.set_epoch(epoch) {
-                    epoch_flips += 1;
-                }
+            let epochs = (0..batch.len() as u64).map(|i| plan.epoch_of(base + i));
+            if let Some(epoch) = epochs.max().filter(|&e| e != self.epoch) {
+                self.epoch = epoch;
+                epoch_flips = 1;
             }
         }
         // --- cache ----------------------------------------------------
+        // Targets are sorted, so every partition sees its own targets'
+        // lookups, then their inserts, in ascending order.
         let span = StageSpan::begin(Stage::CacheLookup, obs_on);
         let mut rows: HashMap<NodeId, Arc<DistRowBuf>> = HashMap::with_capacity(targets.len());
         let mut cold: Vec<NodeId> = Vec::new();
         for &t in &targets {
-            match self.cache.get(t) {
+            let part = self.shard_of(t);
+            match self.caches[part].get(t) {
                 Some(row) => {
                     rows.insert(t, row);
                 }
@@ -348,20 +360,18 @@ impl Engine {
         }
         span.finish(self.obs.stages_mut());
         // --- execute: cold rows ----------------------------------------
-        let n = self.g.num_nodes();
         if !cold.is_empty() {
             let span = StageSpan::begin(Stage::ColdFill, obs_on);
-            let mut wide = vec![0u32; cold.len() * n];
-            nav_graph::msbfs::batched_rows_into_w(
+            let fresh = nav_graph::msbfs::batched_row_bufs(
                 &self.g,
                 &cold,
                 self.cfg.threads,
                 self.cfg.width,
-                &mut wide,
             );
-            for (i, &t) in cold.iter().enumerate() {
-                let row = Arc::new(DistRowBuf::from_wide(&wide[i * n..(i + 1) * n]));
-                self.cache.insert(t, Arc::clone(&row));
+            for (&t, row) in cold.iter().zip(fresh) {
+                let row = Arc::new(row);
+                let part = self.shard_of(t);
+                self.caches[part].insert(t, Arc::clone(&row));
                 rows.insert(t, row);
             }
             span.finish(self.obs.stages_mut());
@@ -370,12 +380,13 @@ impl Engine {
         let span = StageSpan::begin(Stage::Trials, obs_on);
         let fault = self.cfg.fault;
         // Trace sampling is pure in the query's RNG index, so the traced
-        // set is identical whatever thread or sub-batch runs the query.
+        // set is identical whatever thread or batch split runs the query.
         let tracer = self.obs.sampler();
         let outcomes: Vec<(PairStats, SamplerStats, u64, u64, Option<f64>)> =
             nav_par::parallel_map(batch.len(), self.cfg.threads, |i| {
                 let q = &batch.queries[i];
-                let trace_clock = tracer.hits(bases[i]).then(Instant::now);
+                let index = base + i as u64;
+                let trace_clock = tracer.hits(index).then(Instant::now);
                 let row = rows.get(&q.t).expect("row staged above");
                 let mut router = GreedyRouter::from_row_view(&self.g, q.t, row.view())
                     .expect("endpoints validated at admission");
@@ -383,9 +394,9 @@ impl Engine {
                 // index, so a retried or re-sharded query always routes
                 // under the same down-node set.
                 if let Some(plan) = fault.plan {
-                    router = router.with_fault(plan, plan.epoch_of(bases[i]));
+                    router = router.with_fault(plan, plan.epoch_of(index));
                 }
-                let mut rng = task_rng(self.cfg.seed, bases[i]);
+                let mut rng = task_rng(self.cfg.seed, index);
                 // Per-query transient sampler state, byte-capped by the
                 // engine's one memory knob; freed when the query answers.
                 let inner = sampler_for_w(
@@ -424,10 +435,12 @@ impl Engine {
             if let Some(trials_ms) = trace_ms {
                 let q = &batch.queries[i];
                 self.obs.record_trace(QueryTrace {
-                    index: bases[i],
+                    index: base + i as u64,
                     s: q.s,
                     t: q.t,
-                    shard: self.shard_label,
+                    // Partitions are bounded by `crate::shard::MAX_SHARDS`,
+                    // so the label fits.
+                    shard: self.shard_of(q.t) as u16,
                     // `cold` is sorted (built from the sorted target list).
                     cache_hit: cold.binary_search(&q.t).is_err(),
                     trials: q.trials as u64,
@@ -871,39 +884,88 @@ mod tests {
         assert_eq!(engine.metrics().epoch_flips, 0, "no plan, no flips");
     }
 
-    #[test]
-    fn churn_epochs_flip_the_cache_and_count_in_metrics() {
+    /// An engine under a 3-epoch plan with 2-query epochs.
+    fn churned(admission: AdmissionPolicy) -> Engine {
         use nav_core::faulty::FailurePlan;
-        let g = path(50);
-        // 2-query epochs over a 3-epoch plan with some churn.
-        let plan = FailurePlan::new(99, 3, 2, 0.2);
         let cfg = EngineConfig {
             seed: 7,
             threads: 1,
             cache_bytes: 1 << 20,
+            admission,
             fault: FaultConfig {
                 drop_prob: 0.0,
-                plan: Some(plan),
+                plan: Some(FailurePlan::new(99, 3, 2, 0.2)),
             },
             ..EngineConfig::default()
         };
-        let mut e = Engine::new(g, Box::new(NoAugmentation), cfg);
+        Engine::new(path(50), Box::new(NoAugmentation), cfg)
+    }
+
+    #[test]
+    fn churn_epochs_flip_the_cache_and_count_in_metrics() {
+        let mut e = churned(AdmissionPolicy::Lru);
         let batch = QueryBatch::from_pairs(&[(0, 49), (3, 49)], 2);
         e.serve(&batch).unwrap(); // bases 0, 1 → epoch 0
         assert_eq!(e.metrics().epoch_flips, 0, "epoch 0 is the initial one");
-        let first_cold = e.cache_stats().insertions;
-        assert!(first_cold > 0);
-        e.serve(&batch).unwrap(); // bases 2, 3 → epoch 1: flip + purge
+        assert_eq!(e.cache_stats().insertions, 1);
+        e.serve(&batch).unwrap(); // bases 2, 3 → epoch 1: a counted flip
         assert_eq!(e.metrics().epoch_flips, 1);
         let s = e.cache_stats();
-        assert_eq!(
-            s.insertions,
-            first_cold * 2,
-            "the flip purged the rows, so the target recomputed cold"
-        );
+        assert_eq!(s.insertions, 1, "the row survived the flip");
+        assert_eq!((s.hits, s.evictions), (1, 0));
         e.serve(&batch).unwrap(); // epoch 2
         e.serve(&batch).unwrap(); // wraps to epoch 0 again
         assert_eq!(e.metrics().epoch_flips, 3);
+        assert_eq!(e.export_state()[0].epoch, 0);
+    }
+
+    #[test]
+    fn epoch_flip_keeps_every_resident_row() {
+        let mut e = churned(AdmissionPolicy::Lru);
+        let first: Vec<(NodeId, NodeId)> = (0..2).map(|i| (i, 40 + i)).collect();
+        e.serve(&QueryBatch::from_pairs(&first, 1)).unwrap(); // epoch 0
+        let resident = e.cache_stats();
+        assert_eq!(resident.resident_rows, 2);
+        let next = QueryBatch::from_pairs(&[(5, 40), (6, 41)], 1);
+        let r = e.serve(&next).unwrap(); // epoch 1
+        assert_eq!(e.metrics().epoch_flips, 1);
+        assert_eq!((r.warm_targets, r.cold_targets), (2, 0));
+        let s = e.cache_stats();
+        assert_eq!(s.resident_bytes, resident.resident_bytes);
+        assert_eq!(s.evictions, 0);
+    }
+
+    #[test]
+    fn epoch_flip_keeps_the_protected_tier() {
+        let mut e = churned(AdmissionPolicy::Segmented);
+        let batch = QueryBatch::from_pairs(&[(0, 49)], 1);
+        e.serve(&batch).unwrap(); // epoch 0: cold, probation
+        e.serve(&batch).unwrap(); // epoch 0: hit, promoted
+        assert_eq!(e.cache_stats().protected_rows, 1);
+        e.serve(&batch).unwrap(); // epoch 1
+        e.serve(&batch).unwrap(); // epoch 1
+        assert_eq!(e.metrics().epoch_flips, 1);
+        let s = e.cache_stats();
+        assert_eq!((s.protected_rows, s.resident_rows), (1, 1));
+        assert_eq!((s.hits, s.misses), (3, 1));
+    }
+
+    #[test]
+    fn rows_restored_under_another_epoch_still_serve() {
+        let mut e = churned(AdmissionPolicy::Segmented);
+        let batch = QueryBatch::from_pairs(&[(0, 49), (3, 49)], 2);
+        e.serve(&batch).unwrap();
+        e.serve(&batch).unwrap(); // epoch 1, row protected
+        let state = e.export_state();
+        assert_eq!(state[0].epoch, 1);
+        // The restored engine resumes in epoch 1 and serves epoch 2 from
+        // the imported row: one counted flip, no recomputation.
+        let mut r = churned(AdmissionPolicy::Segmented);
+        r.import_state(state);
+        let got = r.serve_at(&batch, 4, SamplerMode::Scalar).unwrap();
+        assert_eq!((got.warm_targets, got.cold_targets), (1, 0));
+        assert_eq!(r.metrics().epoch_flips, 1);
+        assert_eq!(r.cache_stats().protected_rows, 1);
     }
 
     #[test]

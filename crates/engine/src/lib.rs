@@ -10,19 +10,19 @@
 //! * [`Engine`] — a long-lived owner of a graph + augmentation scheme,
 //!   answering [`QueryBatch`]es through a three-stage pipeline:
 //!   **admission** (validate, dedup targets), **cache** (a byte-bounded
-//!   LRU over compact distance rows, [`RowCache`]), **execute** (cold rows
-//!   64-at-a-time via bit-parallel MS-BFS fanned out to `nav-par`
+//!   LRU over compact distance rows, [`RowCache`]), **execute** (one fill
+//!   of every cold row via bit-parallel MS-BFS fanned out to `nav-par`
 //!   workers, then trials in parallel with `(seed, query-index)` RNGs);
 //! * [`RowCache`] — the cross-batch distance-row cache: capacity in
 //!   bytes, adaptive `u16`/`u32` row storage
 //!   ([`nav_graph::distance::DistRowBuf`]), hit/miss/eviction counters,
 //!   and a choice of [`AdmissionPolicy`] (strict LRU, or a segmented
 //!   probation/protected LRU that survives one-shot scan traffic);
-//! * [`ShardedEngine`] — a target-sharded front over `k` engines (shard
-//!   `s` owns targets `t % k == s`), answering bit-identically to a
-//!   single engine via explicit per-query RNG indexing
-//!   ([`Engine::serve_indexed`]) — the scale-out shape behind the
-//!   `nav-net` shard-routing handle byte;
+//! * [`ShardedEngine`] — a target-sharded front: one engine whose row
+//!   cache is split into `k` partitions (shard `s` owns targets
+//!   `t % k == s`), answering bit-identically to a single engine because
+//!   every answer is a pure function of `(seed, RNG index)` — the
+//!   scale-out shape behind the `nav-net` shard-routing handle byte;
 //! * [`workload`] — a dependency-free workload-file format (graph spec +
 //!   query stream) with a zipfian-target generator, so hot-target skew
 //!   actually exercises the cache;
@@ -36,8 +36,8 @@
 //! query's RNG is derived from `(seed, lifetime query index)`, so the
 //! engine's answers are **bit-identical** to a fresh
 //! [`nav_core::trial::run_trials`] over the same `(s, t)` sequence — at
-//! every thread count, every cache capacity (including 0), and every
-//! batch split. `tests/engine.rs` and the `BENCH_serve.json` emitter both
+//! every thread count, every cache capacity (including 0), every shard
+//! count, and every batch split. `tests/engine.rs` and the `BENCH_serve.json` emitter both
 //! assert it.
 
 #![forbid(unsafe_code)]
@@ -54,5 +54,5 @@ pub use batch::{BatchResult, Query, QueryBatch};
 pub use cache::{AdmissionPolicy, CacheStats, RowCache};
 pub use engine::{Engine, EngineConfig, EngineState};
 pub use metrics::EngineMetrics;
-pub use shard::{ShardError, ShardedEngine};
+pub use shard::{ShardError, ShardedEngine, MAX_SHARDS};
 pub use workload::{FaultSpec, GraphSpec, WorkloadError, WorkloadSpec, ZipfSpec};

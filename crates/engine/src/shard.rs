@@ -1,39 +1,35 @@
-//! Target-sharded serving: one front over `k` independent [`Engine`]s.
+//! Target-sharded serving: one [`Engine`] whose row cache is split into
+//! `k` target partitions.
 //!
-//! At large `n` a single engine's row cache is the scaling wall: every
-//! resident target costs `O(n)` bytes, and one mutex serializes every
-//! batch. Sharding partitions the *target space* — shard `s` owns every
-//! target `t` with `t % k == s` — so each shard's cache only ever holds
-//! its own targets and shards can be deployed behind separate handles
-//! (the `nav-net` handle byte routes to them directly).
+//! At large `n` the row cache is the scaling wall: every resident target
+//! costs `O(n)` bytes. A front with `k` shards gives shard `s` every
+//! target `t` with `t % k == s` and a row-cache partition of its own,
+//! each under the full [`EngineConfig::cache_bytes`] budget, and the
+//! `nav-net` handle byte can address a shard directly. That partition is
+//! the *only* per-shard state: the graph, the scheme, the metrics and
+//! the observability registry exist once per front.
 //!
-//! The contract that makes sharding safe to adopt is **bit-identity**:
-//! under the exact oracle, a [`ShardedEngine`] answers every query stream
-//! with exactly the bytes a single [`Engine`] would produce. The
-//! mechanism is RNG indexing — the front stamps each query with the RNG
-//! index it had in the original stream (its lifetime position) and hands
-//! per-shard sub-batches to [`Engine::serve_indexed`], so the grouping
-//! of queries into shards is invisible to every trial's RNG. Shards
-//! execute sequentially (each batch already fans out to
-//! `EngineConfig::threads` compute workers), keeping wall-clock
-//! contention out of the picture without touching determinism.
+//! Each query's answer is a pure function of `(seed, RNG index)`, so the
+//! shard that owns a target can never change an answer: a
+//! [`ShardedEngine`] answers every query stream with exactly the bytes a
+//! single [`Engine`] would produce. A batch is served in one pass —
+//! one admission, one cache lookup, one cold fill over all of its cold
+//! targets, one parallel trial stage — and each partition sees the same
+//! ascending run of lookups and inserts it would see as its own engine.
 
-use crate::batch::{BatchResult, QueryBatch};
-use crate::cache::CacheStats;
 use crate::engine::{Engine, EngineConfig};
-use crate::metrics::EngineMetrics;
-use nav_core::sampler::SamplerMode;
 use nav_core::scheme::AugmentationScheme;
-use nav_graph::{Graph, GraphError, NodeId};
-use nav_obs::ObsSnapshot;
-use std::time::Instant;
+use nav_graph::Graph;
+use std::ops::{Deref, DerefMut};
+
+/// The largest shard count a front accepts: snapshots store the shard
+/// count, and traces the owning shard, as a `u16`.
+pub const MAX_SHARDS: usize = u16::MAX as usize;
 
 /// Why a sharded front refused to build.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardError {
-    /// More shards requested than shard labels exist: traces stamp the
-    /// owning shard as a `u16`, so a front beyond `u16::MAX + 1` shards
-    /// would silently alias observability labels across shards.
+    /// More shards requested than [`MAX_SHARDS`].
     TooManyShards {
         /// The refused shard count.
         requested: usize,
@@ -45,8 +41,8 @@ impl std::fmt::Display for ShardError {
         match self {
             ShardError::TooManyShards { requested } => write!(
                 f,
-                "{requested} shards exceed the {} shard labels a trace can carry",
-                u16::MAX as usize + 1
+                "{requested} shards exceed the {MAX_SHARDS} shard labels \
+                 a snapshot or trace can carry"
             ),
         }
     }
@@ -54,8 +50,9 @@ impl std::fmt::Display for ShardError {
 
 impl std::error::Error for ShardError {}
 
-/// A front over `k` target-sharded [`Engine`]s, answering batches
-/// bit-identically to a single engine (see the module docs).
+/// A target-sharded front: one [`Engine`] with one row-cache partition
+/// per shard, answering bit-identically to a single engine (see the
+/// module docs). Every [`Engine`] method is available through `Deref`.
 ///
 /// ```
 /// use nav_engine::{Engine, EngineConfig, QueryBatch, ShardedEngine};
@@ -76,269 +73,79 @@ impl std::error::Error for ShardError {}
 ///     .all(|(x, y)| x.bits_eq(y)));
 /// ```
 pub struct ShardedEngine {
-    shards: Vec<Engine>,
-    /// Lifetime query counter of the *front* — the per-shard counters
-    /// stay untouched, because every routed query carries its own index.
-    served: u64,
-    /// Batches accepted at the front (each may fan out to several
-    /// per-shard sub-batches; the per-shard `batches` counters count
-    /// those). The merged metrics report this number, so sharded totals
-    /// match what a single engine would report for the same stream.
-    front_batches: u64,
+    engine: Engine,
 }
 
 impl ShardedEngine {
-    /// Builds `shards` engines (clamped to at least 1) over clones of
-    /// `g`, each owning a scheme from `scheme_factory`. For bit-identity
-    /// with a single engine the factory must produce identical schemes —
-    /// sampling is driven entirely by per-query RNG streams, so equal
-    /// schemes make shard placement invisible.
+    /// Builds a front of `shards` (clamped to at least 1) partitions over
+    /// `g`, serving the scheme `scheme_factory` builds (called once).
     ///
     /// # Panics
-    /// Panics when `shards` exceeds the `u16` shard-label space — use
+    /// Panics when `shards` exceeds [`MAX_SHARDS`] — use
     /// [`ShardedEngine::try_new`] to handle the refusal as a value.
     pub fn new(
         g: Graph,
-        scheme_factory: impl FnMut() -> Box<dyn AugmentationScheme + Send>,
+        scheme_factory: impl FnOnce() -> Box<dyn AugmentationScheme + Send>,
         cfg: EngineConfig,
         shards: usize,
     ) -> Self {
         Self::try_new(g, scheme_factory, cfg, shards).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ShardedEngine::new`] that refuses oversized fronts with a typed
-    /// error instead of panicking: every trace stamps its owning shard as
-    /// a `u16`, so a front beyond `u16::MAX + 1` shards would alias
-    /// observability labels across shards. No engine is constructed on
-    /// refusal.
+    /// [`ShardedEngine::new`] that refuses fronts beyond [`MAX_SHARDS`]
+    /// with a typed error instead of panicking. The scheme factory is not
+    /// called on refusal.
     pub fn try_new(
         g: Graph,
-        mut scheme_factory: impl FnMut() -> Box<dyn AugmentationScheme + Send>,
+        scheme_factory: impl FnOnce() -> Box<dyn AugmentationScheme + Send>,
         cfg: EngineConfig,
         shards: usize,
     ) -> Result<Self, ShardError> {
-        let shards = shards.max(1);
-        if shards > u16::MAX as usize + 1 {
+        if shards > MAX_SHARDS {
             return Err(ShardError::TooManyShards { requested: shards });
         }
-        let engines = (0..shards)
-            .map(|s| {
-                let mut e = Engine::new(g.clone(), scheme_factory(), cfg);
-                e.set_shard_label(s as u16);
-                e
-            })
-            .collect();
         Ok(ShardedEngine {
-            shards: engines,
-            served: 0,
-            front_batches: 0,
+            engine: Engine::with_partitions(g, scheme_factory(), cfg, shards),
         })
     }
 
     /// Wraps an existing engine as a 1-shard front (what single-engine
-    /// callers upgrade through).
+    /// callers upgrade through); its lifetime counters carry over.
     pub fn from_engine(engine: Engine) -> Self {
-        ShardedEngine {
-            shards: vec![engine],
-            served: 0,
-            front_batches: 0,
-        }
+        ShardedEngine { engine }
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
+    /// Restores the front's lifetime counters from a snapshot: the query
+    /// counter (the RNG base the next [`Engine::serve`] continues from)
+    /// and the batch count its metrics report.
+    pub fn restore_front(&mut self, served: u64, batches: u64) {
+        self.engine.served = served;
+        self.engine.metrics.batches = batches;
     }
+}
 
-    /// The shard owning target `t`.
-    #[inline]
-    pub fn shard_of(&self, t: NodeId) -> usize {
-        t as usize % self.shards.len()
+impl Deref for ShardedEngine {
+    type Target = Engine;
+
+    fn deref(&self) -> &Engine {
+        &self.engine
     }
+}
 
-    /// The shard engines, in shard order.
-    pub fn shards(&self) -> &[Engine] {
-        &self.shards
-    }
-
-    /// Mutable access to the shard engines, in shard order — the restore
-    /// path feeds each shard its own [`crate::engine::EngineState`]
-    /// section through [`Engine::import_state`].
-    pub fn shards_mut(&mut self) -> &mut [Engine] {
-        &mut self.shards
-    }
-
-    /// Batches accepted at the front over its lifetime (the counter
-    /// behind the merged [`ShardedEngine::metrics`] `batches` field).
-    pub fn front_batches(&self) -> u64 {
-        self.front_batches
-    }
-
-    /// Restores the front's lifetime counters from a snapshot, so a
-    /// restored front continues the stream at the RNG base the original
-    /// stopped at and its merged metrics keep reporting front-level
-    /// batch totals.
-    pub fn restore_front(&mut self, served: u64, front_batches: u64) {
-        self.served = served;
-        self.front_batches = front_batches;
-    }
-
-    /// The served graph (every shard holds an identical clone).
-    pub fn graph(&self) -> &Graph {
-        self.shards[0].graph()
-    }
-
-    /// The augmentation scheme's display name.
-    pub fn scheme_name(&self) -> String {
-        self.shards[0].scheme_name()
-    }
-
-    /// The engine configuration (identical across shards).
-    pub fn config(&self) -> &EngineConfig {
-        self.shards[0].config()
-    }
-
-    /// Queries answered through the front over its lifetime.
-    pub fn queries_served(&self) -> u64 {
-        self.served
-    }
-
-    /// Row-cache counters summed over every shard.
-    pub fn cache_stats(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.shards {
-            let c = s.cache_stats();
-            total.hits += c.hits;
-            total.misses += c.misses;
-            total.insertions += c.insertions;
-            total.evictions += c.evictions;
-            total.rejected += c.rejected;
-            total.resident_rows += c.resident_rows;
-            total.resident_bytes += c.resident_bytes;
-            total.capacity_bytes += c.capacity_bytes;
-        }
-        total
-    }
-
-    /// Lifetime counters and latency histogram merged over every shard.
-    /// `batches` reports batches accepted *at the front* — not the
-    /// per-shard sub-batches the routing fans out to — so a sharded
-    /// front's totals line up with what a single engine reports for the
-    /// same stream. The latency histogram merges per-shard sub-batch
-    /// samples (its `count` can exceed `batches` when `k > 1`).
-    pub fn metrics(&self) -> EngineMetrics {
-        let mut total = EngineMetrics::default();
-        for s in &self.shards {
-            total.merge(s.metrics());
-        }
-        total.batches = self.front_batches;
-        total
-    }
-
-    /// Per-stage histograms and sampled traces merged over every shard,
-    /// traces ordered by query index.
-    pub fn obs_snapshot(&self) -> ObsSnapshot {
-        let mut snap = ObsSnapshot::default();
-        for s in &self.shards {
-            snap.merge(&s.obs_snapshot());
-        }
-        snap
-    }
-
-    /// Serves one batch through the front, advancing the lifetime
-    /// counter — the sharded counterpart of [`Engine::serve`].
-    pub fn serve(&mut self, batch: &QueryBatch) -> Result<BatchResult, GraphError> {
-        let sampler = self.config().sampler;
-        let result = self.serve_at(batch, self.served, sampler)?;
-        self.served += batch.len() as u64;
-        Ok(result)
-    }
-
-    /// [`Self::serve`] with explicit RNG addressing (the network front's
-    /// entry point; the lifetime counter is not advanced): query `i` of
-    /// the batch routes to the shard owning its target and runs on the
-    /// RNG derived from `(seed, base + i)` — bit-identical to
-    /// [`Engine::serve_at`] on a single engine with the same arguments.
-    /// Errors on an out-of-range endpoint before any shard executes, so
-    /// a refused batch leaves no shard state behind.
-    pub fn serve_at(
-        &mut self,
-        batch: &QueryBatch,
-        base: u64,
-        sampler: SamplerMode,
-    ) -> Result<BatchResult, GraphError> {
-        let t0 = Instant::now();
-        let g = self.shards[0].graph();
-        for q in &batch.queries {
-            g.check_node(q.s)?;
-            g.check_node(q.t)?;
-        }
-        self.front_batches += 1;
-        // Partition the batch by target shard, remembering each query's
-        // position so answers scatter back in request order and RNG
-        // indices survive the regrouping.
-        let k = self.shards.len();
-        let mut routed: Vec<(QueryBatch, Vec<u64>, Vec<usize>)> = (0..k)
-            .map(|_| (QueryBatch::default(), Vec::new(), Vec::new()))
-            .collect();
-        for (i, q) in batch.queries.iter().enumerate() {
-            let s = self.shard_of(q.t);
-            routed[s].0.queries.push(*q);
-            routed[s].1.push(base + i as u64);
-            routed[s].2.push(i);
-        }
-        let mut answers = vec![None; batch.len()];
-        let mut warm_targets = 0usize;
-        let mut cold_targets = 0usize;
-        for (s, (sub, bases, positions)) in routed.iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            let result = self.shards[s]
-                .serve_indexed(sub, bases, sampler)
-                .expect("endpoints validated at the front");
-            warm_targets += result.warm_targets;
-            cold_targets += result.cold_targets;
-            for (&pos, answer) in positions.iter().zip(result.answers) {
-                answers[pos] = Some(answer);
-            }
-        }
-        Ok(BatchResult {
-            answers: answers
-                .into_iter()
-                .map(|a| a.expect("every query routed to exactly one shard"))
-                .collect(),
-            warm_targets,
-            cold_targets,
-            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-        })
-    }
-
-    /// Serves a batch directly on shard `shard` with contiguous RNG
-    /// indices `base..` — the path behind a direct shard handle on the
-    /// wire, where the client addresses one shard's stream explicitly.
-    /// The caller is responsible for only sending targets the shard owns
-    /// (check with [`ShardedEngine::shard_of`]); the engine itself only
-    /// validates graph membership.
-    pub fn serve_on(
-        &mut self,
-        shard: usize,
-        batch: &QueryBatch,
-        base: u64,
-        sampler: SamplerMode,
-    ) -> Result<BatchResult, GraphError> {
-        let result = self.shards[shard].serve_at(batch, base, sampler)?;
-        self.front_batches += 1;
-        Ok(result)
+impl DerefMut for ShardedEngine {
+    fn deref_mut(&mut self) -> &mut Engine {
+        &mut self.engine
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::QueryBatch;
+    use crate::cache::{AdmissionPolicy, CacheStats};
     use nav_core::trial::PairStats;
     use nav_core::uniform::UniformScheme;
-    use nav_graph::GraphBuilder;
+    use nav_graph::{GraphBuilder, NodeId};
 
     fn path(n: usize) -> Graph {
         GraphBuilder::from_edges(n, (0..n as NodeId - 1).map(|u| (u, u + 1))).unwrap()
@@ -430,32 +237,30 @@ mod tests {
         let m = sharded.metrics();
         assert_eq!(m.queries, 3);
         assert_eq!(m.trials, 9);
-        // One batch at the front, even though it fanned out to two
-        // per-shard sub-batches — merged totals describe the front.
+        // One batch, one latency sample, whichever shards it touched.
         assert_eq!(m.batches, 1);
-        // The merged latency histogram carries every sub-batch sample.
-        assert_eq!(m.batch_hist().count(), 2);
+        assert_eq!(m.batch_hist().count(), 1);
         assert!(m.latency().is_some());
         assert_eq!(sharded.cache_stats().resident_rows, 2);
+        assert_eq!(sharded.cache_stats().capacity_bytes, 2 << 20);
         assert_eq!(sharded.scheme_name(), "uniform");
         assert_eq!(sharded.graph().num_nodes(), 60);
-        assert_eq!(sharded.shards().len(), 2);
+        assert_eq!(sharded.num_shards(), 2);
         assert_eq!((sharded.shard_of(58), sharded.shard_of(59)), (0, 1));
-        // Direct shard serving equals the owning engine's stream.
+        // A batch of one shard's targets (what a direct shard handle
+        // sends) equals a single engine's stream at the same base.
         let mut reference = Engine::new(g, Box::new(UniformScheme), cfg);
         let own = QueryBatch::from_pairs(&[(3, 58)], 4);
         let want = reference.serve_at(&own, 11, cfg.sampler).unwrap();
-        let got = sharded.serve_on(0, &own, 11, cfg.sampler).unwrap();
+        let got = sharded.serve_at(&own, 11, cfg.sampler).unwrap();
         assert!(identical(&got.answers, &want.answers));
-        // Direct shard serving is one more front batch.
         assert_eq!(sharded.metrics().batches, 2);
     }
 
     #[test]
     fn merged_metrics_match_single_engine_totals() {
-        // The satellite fix this pins: a sharded front's merged snapshot
-        // must report the same lifetime totals a single engine would for
-        // the same stream — not per-shard sub-batch counts.
+        // A sharded front reports the same lifetime totals a single
+        // engine does for the same stream.
         let g = path(90);
         let cfg = EngineConfig {
             seed: 31,
@@ -507,33 +312,92 @@ mod tests {
         for t in &snap.traces {
             assert_eq!(t.shard as usize, t.t as usize % 3);
         }
-        // Stage histograms merged across shards: every shard served a
-        // sub-batch, so trials count = total sub-batches.
+        // One batch, one sample per stage, however many shards it spans.
         use nav_obs::Stage;
-        assert!(snap.stage(Stage::Trials).unwrap().count() >= 3);
+        assert_eq!(snap.stage(Stage::Trials).unwrap().count(), 1);
         assert!(snap.stage(Stage::Admission).is_some());
         assert!(snap.stage(Stage::ColdFill).is_some());
     }
 
     #[test]
     fn oversized_fronts_are_refused_with_a_typed_error() {
-        // Shard labels are u16: a front past 65536 shards would alias
-        // trace labels across shards, so construction refuses up front
-        // (before building a single engine).
+        // Snapshots count shards, and traces label them, in a u16: a
+        // front past MAX_SHARDS is refused before the scheme is built.
         let g = path(4);
         let cfg = EngineConfig::default();
-        let requested = u16::MAX as usize + 2;
-        let err =
-            match ShardedEngine::try_new(g.clone(), || Box::new(UniformScheme), cfg, requested) {
-                Err(e) => e,
-                Ok(_) => panic!("must refuse"),
-            };
+        let requested = MAX_SHARDS + 1;
+        let err = match ShardedEngine::try_new(
+            g.clone(),
+            || panic!("no scheme for a refused front"),
+            cfg,
+            requested,
+        ) {
+            Err(e) => e,
+            Ok(_) => panic!("must refuse"),
+        };
         assert_eq!(err, ShardError::TooManyShards { requested });
-        assert!(err.to_string().contains("65536"));
-        // The boundary itself is fine: labels 0..=u16::MAX all exist.
-        // (Not built here — 65536 engines — but the check is exact.)
-        let ok = ShardedEngine::try_new(g, || Box::new(UniformScheme), cfg, 3).unwrap();
-        assert_eq!(ok.num_shards(), 3);
+        assert!(err.to_string().contains("65535"));
+        // The boundary itself builds: a shard is just an empty partition.
+        let ok = ShardedEngine::try_new(g, || Box::new(UniformScheme), cfg, MAX_SHARDS).unwrap();
+        assert_eq!(ok.num_shards(), MAX_SHARDS);
+        assert_eq!(ok.shard_of(MAX_SHARDS as NodeId), 0);
+    }
+
+    #[test]
+    fn partition_counters_match_one_engine_per_shard() {
+        // Each partition sees exactly the lookups and inserts an engine
+        // serving only that shard's queries would, so hits, misses and
+        // evictions add up to theirs — here under evicting budgets.
+        let g = path(90);
+        for admission in [AdmissionPolicy::Lru, AdmissionPolicy::Segmented] {
+            let cfg = EngineConfig {
+                seed: 9,
+                threads: 1,
+                cache_bytes: 3 * 90 * 2,
+                admission,
+                ..EngineConfig::default()
+            };
+            let mut front = ShardedEngine::new(g.clone(), || Box::new(UniformScheme), cfg, 3);
+            let mut shards: Vec<Engine> = (0..3)
+                .map(|_| Engine::new(g.clone(), Box::new(UniformScheme), cfg))
+                .collect();
+            for chunk in pairs().chunks(5) {
+                front.serve(&QueryBatch::from_pairs(chunk, 1)).unwrap();
+                for (s, engine) in shards.iter_mut().enumerate() {
+                    let own: Vec<_> = chunk
+                        .iter()
+                        .copied()
+                        .filter(|p| p.1 % 3 == s as u32)
+                        .collect();
+                    engine.serve(&QueryBatch::from_pairs(&own, 1)).unwrap();
+                }
+            }
+            let want: CacheStats = shards.iter().map(Engine::cache_stats).sum();
+            assert_eq!(front.cache_stats(), want, "{admission:?}");
+            assert!(want.evictions > 0);
+        }
+    }
+
+    #[test]
+    fn one_batch_is_one_cold_fill_across_every_shard() {
+        let g = path(90);
+        let cfg = EngineConfig {
+            seed: 3,
+            threads: 2,
+            cache_bytes: 1 << 20,
+            ..EngineConfig::default()
+        };
+        let mut front = ShardedEngine::new(g, || Box::new(UniformScheme), cfg, 4);
+        // Ten distinct targets, covering every residue mod 4.
+        let pairs: Vec<(NodeId, NodeId)> = (0..20u32).map(|i| (i, 70 + i % 10)).collect();
+        let r = front.serve(&QueryBatch::from_pairs(&pairs, 2)).unwrap();
+        assert_eq!((r.cold_targets, r.warm_targets), (10, 0));
+        use nav_obs::Stage;
+        let snap = front.obs_snapshot();
+        assert_eq!(snap.stage(Stage::ColdFill).unwrap().count(), 1);
+        assert_eq!(front.metrics().batch_hist().count(), 1);
+        assert_eq!(front.metrics().cold_targets, 10);
+        assert_eq!(front.cache_stats().resident_rows, 10);
     }
 
     #[test]
@@ -544,7 +408,7 @@ mod tests {
             g,
             || Box::new(UniformScheme),
             EngineConfig::default(),
-            u16::MAX as usize + 2,
+            MAX_SHARDS + 1,
         );
     }
 

@@ -35,7 +35,9 @@
 //! bottom-up early exit gets *more* effective at larger `W` because more
 //! lanes are missing per node, compensating the wider word ops).
 
+use crate::distance::DistRowBuf;
 use crate::{csr::Graph, NodeId, INFINITY};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Number of bit lanes (sources) a single [`MsBfs`] (width-1) pass can
 /// carry. A width-`W` [`MsBfsW`] pass carries `LANES · W`.
@@ -884,6 +886,24 @@ pub(crate) fn batched_rows_impl_for<const W: usize>(
 ) where
     MsBfsW<W>: MsBfsWorkspace,
 {
+    for_each_stripe::<W, u32>(g, sources, threads, rows, |ms, batch, stripe| {
+        ms.distances_into(g, batch, stripe)
+    });
+}
+
+/// The batch-to-stripe layout behind every batched row fill: sources go
+/// `MsBfsW::<W>::LANES` per pass, each pass fills its stripe of the
+/// row-major `sources.len() × n` buffer `rows`, and passes fan out to
+/// `threads` `nav-par` workers, each on its thread's reusable workspace.
+fn for_each_stripe<const W: usize, C: Send>(
+    g: &Graph,
+    sources: &[NodeId],
+    threads: usize,
+    rows: &mut [C],
+    fill: impl Fn(&mut MsBfsW<W>, &[NodeId], &mut [C]) + Sync,
+) where
+    MsBfsW<W>: MsBfsWorkspace,
+{
     let n = g.num_nodes();
     assert_eq!(
         rows.len(),
@@ -893,8 +913,63 @@ pub(crate) fn batched_rows_impl_for<const W: usize>(
     let lanes = MsBfsW::<W>::LANES;
     let batches: Vec<&[NodeId]> = sources.chunks(lanes).collect();
     nav_par::parallel_chunks_mut(rows, lanes * n.max(1), threads, |b, stripe| {
-        MsBfsW::<W>::with_ws(n, |ms| ms.distances_into(g, batches[b], stripe));
+        MsBfsW::<W>::with_ws(n, |ms| fill(ms, batches[b], stripe));
     });
+}
+
+/// The distance rows of `sources` as compact [`DistRowBuf`]s, in source
+/// order — each row exactly what [`DistRowBuf::from_wide`] makes of the
+/// `u32` row [`batched_rows_into_w`] fills, without that `u32` buffer.
+///
+/// Passes decode straight into one `u16` buffer
+/// ([`MsBfsW::distances_into_narrow`]), and rows are then peeled off its
+/// tail, shrinking it as they go, so the fill peaks at the `u16` cells
+/// plus one row. A fill whose distances overflow `u16` (diameter ≥
+/// 65535) is redone through the `u32` path and narrowed row by row.
+pub fn batched_row_bufs(
+    g: &Graph,
+    sources: &[NodeId],
+    threads: usize,
+    width: LaneWidth,
+) -> Vec<DistRowBuf> {
+    match width {
+        LaneWidth::W64 => row_bufs_for::<1>(g, sources, threads),
+        LaneWidth::W128 => row_bufs_for::<2>(g, sources, threads),
+        LaneWidth::W256 => row_bufs_for::<4>(g, sources, threads),
+    }
+}
+
+fn row_bufs_for<const W: usize>(g: &Graph, sources: &[NodeId], threads: usize) -> Vec<DistRowBuf>
+where
+    MsBfsW<W>: MsBfsWorkspace,
+{
+    let n = g.num_nodes();
+    let mut cells = vec![0u16; sources.len() * n];
+    let overflow = AtomicBool::new(false);
+    for_each_stripe::<W, u16>(g, sources, threads, &mut cells, |ms, batch, stripe| {
+        if !ms.distances_into_narrow(g, batch, stripe) {
+            overflow.store(true, Ordering::Relaxed);
+        }
+    });
+    if overflow.into_inner() {
+        drop(cells);
+        let mut wide = vec![0u32; sources.len() * n];
+        batched_rows_impl_for::<W>(g, sources, threads, &mut wide);
+        return wide.chunks(n).map(DistRowBuf::from_wide).collect();
+    }
+    let mut rows: Vec<DistRowBuf> = (1..sources.len())
+        .rev()
+        .map(|i| {
+            let row = cells.split_off(i * n);
+            cells.shrink_to_fit();
+            DistRowBuf::Narrow(row)
+        })
+        .collect();
+    if !sources.is_empty() {
+        rows.push(DistRowBuf::Narrow(cells));
+    }
+    rows.reverse();
+    rows
 }
 
 #[cfg(test)]
@@ -996,6 +1071,41 @@ mod tests {
                 assert_eq!(rows, base, "width {width} threads {threads}");
             }
         }
+    }
+
+    /// `batched_row_bufs` against `from_wide` over the `u32` fill.
+    fn assert_row_bufs_match_from_wide(g: &Graph, sources: &[NodeId], width: LaneWidth) {
+        let n = g.num_nodes();
+        let mut wide = vec![0u32; sources.len() * n];
+        batched_rows_into(g, sources, 1, &mut wide);
+        let want: Vec<DistRowBuf> = wide.chunks(n).map(DistRowBuf::from_wide).collect();
+        for threads in [1, 3] {
+            let got = batched_row_bufs(g, sources, threads, width);
+            assert_eq!(got, want, "width {width} threads {threads}");
+        }
+    }
+
+    #[test]
+    fn row_bufs_equal_from_wide_at_every_width() {
+        let g = circulant(150, &[7, 40]);
+        let sources: Vec<NodeId> = (0..150u32).rev().collect();
+        let split = GraphBuilder::from_edges(7, [(0, 1), (1, 2), (3, 4), (5, 6)]).unwrap();
+        for width in LaneWidth::ALL {
+            assert_row_bufs_match_from_wide(&g, &sources, width);
+            assert_row_bufs_match_from_wide(&split, &[6, 0, 3], width);
+            assert!(batched_row_bufs(&g, &[], 2, width).is_empty());
+        }
+    }
+
+    #[test]
+    fn row_bufs_narrow_per_row_when_a_fill_overflows_u16() {
+        // Diameter 65599: source 0's row overflows u16, so the fill is
+        // redone at u32 — and only that row stays wide.
+        let g = path(65_600);
+        let sources = [100, 0];
+        assert_row_bufs_match_from_wide(&g, &sources, LaneWidth::W64);
+        let rows = batched_row_bufs(&g, &sources, 1, LaneWidth::W64);
+        assert!(rows[0].is_narrow() && !rows[1].is_narrow());
     }
 
     #[test]

@@ -479,9 +479,9 @@ fn refusal_for(e: &FrameError) -> Frame {
 /// Executes one admitted request against the engine. The handle's low 24
 /// bits must name this server's tenant; the top byte routes — `0` lets
 /// the front place each query on the shard owning its target, `s > 0`
-/// addresses shard `s − 1` directly (refusing targets it does not own,
-/// so a misrouted client learns immediately instead of silently shifting
-/// another shard's stream).
+/// addresses shard `s − 1` directly and refuses targets it does not own,
+/// so a misrouted client learns immediately. An accepted batch is served
+/// the same way either way: answers depend only on the RNG index.
 fn answer(shared: &Shared, req: Request) -> Frame {
     let (tenant, shard) = split_handle(req.handle);
     if tenant != shared.cfg.handle & TENANT_MASK {
@@ -534,11 +534,7 @@ fn answer(shared: &Shared, req: Request) -> Frame {
             });
         }
     }
-    let result = match shard {
-        Some(s) => engine.serve_on(s, &batch, req.rng_base, req.sampler),
-        None => engine.serve_at(&batch, req.rng_base, req.sampler),
-    };
-    match result {
+    match engine.serve_at(&batch, req.rng_base, req.sampler) {
         Ok(result) => Frame::Response(Response {
             answers: result.answers,
             metrics: metrics_snapshot(shared, &engine),
@@ -576,7 +572,7 @@ fn metrics_snapshot(shared: &Shared, engine: &ShardedEngine) -> MetricsSnapshot 
     }
 }
 
-/// Answers a [`StatsRequest`]: the merged engine counters, every shard's
+/// Answers a [`StatsRequest`]: the engine counters, its
 /// stage histograms and sampled traces, plus the serving front's own
 /// wire-stage timings (socket/decode/encode) merged in. Tenant-checked
 /// like a query; the handle's shard byte is ignored — stats are always

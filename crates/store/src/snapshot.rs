@@ -14,12 +14,12 @@
 //! it came from), `CONFIG` (every answer-determining engine knob; thread
 //! count and observability are restore-time parameters because they are
 //! answer-invisible by contract), `SHARDS` (front counters plus per
-//! shard the lifetime counter, churn epoch, and resident rows with their
-//! SLRU tier), and `WIDTH` (the engine's MS-BFS lane width — one byte,
-//! defaulting to 64 lanes when absent so pre-width snapshots restore
-//! unchanged). Readers skip unknown section ids, so the format can grow
-//! sections without a version bump; a version bump means the header
-//! itself changed.
+//! shard a query counter, the churn epoch, and the resident rows of the
+//! shard's cache partition with their SLRU tier), and `WIDTH` (the
+//! engine's MS-BFS lane width — one byte, defaulting to 64 lanes when
+//! absent so pre-width snapshots restore unchanged). Readers skip
+//! unknown section ids, so the format can grow sections without a
+//! version bump; a version bump means the header itself changed.
 
 use crate::cursor::Cur;
 use crate::StoreError;
@@ -29,10 +29,10 @@ use nav_core::realization::Realization;
 use nav_core::sampler::SamplerMode;
 use nav_core::scheme::AugmentationScheme;
 use nav_core::uniform::{NoAugmentation, UniformScheme};
-use nav_engine::{AdmissionPolicy, Engine, EngineConfig, EngineState, ShardedEngine};
-use nav_graph::distance::DistRowBuf;
+use nav_engine::{AdmissionPolicy, EngineConfig, EngineState, ShardedEngine, MAX_SHARDS};
+use nav_graph::distance::{DistRowBuf, NARROW_INFINITY};
 use nav_graph::msbfs::LaneWidth;
-use nav_graph::{GraphBuilder, NodeId};
+use nav_graph::{Graph, GraphBuilder, NodeId, INFINITY};
 use nav_obs::ObsConfig;
 use std::sync::Arc;
 
@@ -90,9 +90,7 @@ impl SchemeSpec {
         }
     }
 
-    /// Builds a boxed scheme for serving `g`. Each call produces an
-    /// identical scheme, which is exactly what a sharded front's
-    /// scheme factory requires for bit-identity.
+    /// Builds a boxed scheme for serving `g`.
     pub fn build(&self, g: &nav_graph::Graph) -> Box<dyn AugmentationScheme + Send> {
         match self {
             SchemeSpec::None => Box::new(NoAugmentation),
@@ -146,15 +144,16 @@ pub struct Snapshot {
     pub front_served: u64,
     /// Batches accepted at the front.
     pub front_batches: u64,
-    /// Per-shard resumable state, in shard order.
+    /// Per-shard resumable state (the shard's cache partition), in shard
+    /// order.
     pub shards: Vec<EngineState>,
 }
 
 impl Snapshot {
     /// Freezes a serving front into a snapshot: graph, scheme, the
-    /// answer-determining config, front counters, and every shard's
-    /// lifetime counter, churn epoch, and resident rows. The front is
-    /// not disturbed. Errors only when the scheme cannot be represented
+    /// answer-determining config, front counters, the churn epoch, and
+    /// every shard's resident rows. The front is not disturbed. Errors
+    /// only when the scheme cannot be represented
     /// ([`StoreError::UnsupportedScheme`]).
     pub fn capture(front: &ShardedEngine) -> Result<Self, StoreError> {
         let g = front.graph();
@@ -162,7 +161,7 @@ impl Snapshot {
         Ok(Snapshot {
             num_nodes: g.num_nodes(),
             edges: g.edge_list(),
-            scheme: SchemeSpec::capture(front.shards()[0].scheme())?,
+            scheme: SchemeSpec::capture(front.scheme())?,
             seed: cfg.seed,
             cache_bytes: cfg.cache_bytes,
             admission: cfg.admission,
@@ -170,17 +169,20 @@ impl Snapshot {
             fault: cfg.fault,
             width: cfg.width,
             front_served: front.queries_served(),
-            front_batches: front.front_batches(),
-            shards: front.shards().iter().map(Engine::export_state).collect(),
+            front_batches: front.metrics().batches,
+            shards: front.export_state(),
         })
     }
 
     /// Rehydrates a serving front. `threads` and `obs` are restore-time
     /// parameters — both are answer-invisible by the engine's
     /// determinism contract, so a snapshot taken at one thread count
-    /// restores at any other without changing a bit. Per-shard state is
-    /// imported with the churn epoch set before the rows, so a restored
-    /// cache is warm *and* correctly epoch-tagged.
+    /// restores at any other without changing a bit. Every cached row
+    /// must be its key's exact distance row — one cell per node, zero at
+    /// the key, locally BFS-consistent over the graph — and sit in the
+    /// shard that owns its key, or the restore is refused as
+    /// [`StoreError::Malformed`]: a restored row is served unchecked, so
+    /// a corrupt one would otherwise answer wrong or panic the router.
     pub fn restore(&self, threads: usize, obs: ObsConfig) -> Result<ShardedEngine, StoreError> {
         if let SchemeSpec::Realized(table) = &self.scheme {
             if table.len() != self.num_nodes {
@@ -205,19 +207,33 @@ impl Snapshot {
             width: self.width,
             obs,
         };
-        if self.shards.is_empty() {
-            return Err(StoreError::Malformed("snapshot carries no shards"));
+        let k = self.shards.len();
+        if k == 0 || k > MAX_SHARDS {
+            return Err(StoreError::Malformed("shard count outside 1..=MAX_SHARDS"));
         }
-        let mut front =
-            ShardedEngine::new(g.clone(), || self.scheme.build(&g), cfg, self.shards.len());
+        for (shard, state) in self.shards.iter().enumerate() {
+            for (key, row, _) in &state.rows {
+                check_row(&g, *key, row)?;
+                if *key as usize % k != shard {
+                    return Err(StoreError::Malformed(
+                        "cached row in a shard not owning its key",
+                    ));
+                }
+            }
+        }
+        let scheme = self.scheme.build(&g);
+        let mut front = ShardedEngine::new(g, move || scheme, cfg, k);
         front.restore_front(self.front_served, self.front_batches);
-        for (engine, state) in front.shards_mut().iter_mut().zip(&self.shards) {
-            engine.import_state(state.clone());
-        }
+        front.import_state(self.shards.clone());
         Ok(front)
     }
 
     /// Serializes to the versioned section-table format.
+    ///
+    /// # Panics
+    /// Panics if a count outgrows its field: more than [`MAX_SHARDS`]
+    /// shards, or a shard with more than `u32::MAX` rows or row cells.
+    /// A captured front stays within all three.
     pub fn encode(&self) -> Vec<u8> {
         let graph = self.encode_graph();
         let scheme = self.encode_scheme();
@@ -302,14 +318,24 @@ impl Snapshot {
     }
 
     fn encode_shards(&self) -> Vec<u8> {
+        // The count field holds exactly the fronts `try_new` accepts.
+        const _: () = assert!(MAX_SHARDS == u16::MAX as usize);
         let mut b = Vec::new();
         put_u64(&mut b, self.front_served);
         put_u64(&mut b, self.front_batches);
-        put_u16(&mut b, self.shards.len().min(u16::MAX as usize) as u16);
+        put_u16(
+            &mut b,
+            u16::try_from(self.shards.len()).expect("shard count exceeds MAX_SHARDS"),
+        );
         for shard in &self.shards {
-            put_u64(&mut b, shard.served);
+            // The per-shard query counter: one engine serves every shard,
+            // so it is the front's.
+            put_u64(&mut b, self.front_served);
             put_u64(&mut b, shard.epoch);
-            put_u32(&mut b, shard.rows.len().min(u32::MAX as usize) as u32);
+            put_u32(
+                &mut b,
+                u32::try_from(shard.rows.len()).expect("row count exceeds u32"),
+            );
             for (key, row, protected) in &shard.rows {
                 put_u32(&mut b, *key);
                 let mut flags = 0u8;
@@ -320,7 +346,10 @@ impl Snapshot {
                     flags |= FLAG_WIDE;
                 }
                 b.push(flags);
-                put_u32(&mut b, row.len().min(u32::MAX as usize) as u32);
+                put_u32(
+                    &mut b,
+                    u32::try_from(row.len()).expect("row length exceeds u32"),
+                );
                 match row.as_ref() {
                     DistRowBuf::Narrow(v) => {
                         for &d in v {
@@ -525,7 +554,9 @@ fn decode_shards(body: &[u8]) -> Result<(u64, u64, Vec<EngineState>), StoreError
     }
     let mut shards = Vec::with_capacity(shard_count.min(cur.remaining() / 20 + 1));
     for _ in 0..shard_count {
-        let served = cur.u64("shard served")?;
+        // Superseded by the front counter (a multi-engine front's shards
+        // kept their own, never advanced).
+        cur.u64("shard served")?;
         let epoch = cur.u64("shard epoch")?;
         let row_count = cur.u32("row count")? as usize;
         // A row entry is at least 9 header bytes, so a forged count must
@@ -562,14 +593,57 @@ fn decode_shards(body: &[u8]) -> Result<(u64, u64, Vec<EngineState>), StoreError
             };
             rows.push((key, Arc::new(row), flags & FLAG_PROTECTED != 0));
         }
-        shards.push(EngineState {
-            served,
-            epoch,
-            rows,
-        });
+        shards.push(EngineState { epoch, rows });
     }
     cur.done("trailing bytes in shards section")?;
     Ok((front_served, front_batches, shards))
+}
+
+/// Accepts `row` only as target `key`'s exact distance row over `g`:
+/// in range, one cell per node, zero at the key, and locally
+/// BFS-consistent — every edge spans at most one level, every other
+/// finite node has a neighbour one level closer, and no edge leaves the
+/// unreachable set. Those local facts pin every cell to the true
+/// distance, in `O(n + m)`.
+fn check_row(g: &Graph, key: NodeId, row: &DistRowBuf) -> Result<(), StoreError> {
+    if key as usize >= g.num_nodes() {
+        return Err(StoreError::Malformed("cached row key out of node range"));
+    }
+    if row.len() != g.num_nodes() {
+        return Err(StoreError::Malformed("cached row length != node count"));
+    }
+    if row.get(key as usize) != 0 {
+        return Err(StoreError::Malformed("cached row nonzero at its key"));
+    }
+    let consistent = match row {
+        DistRowBuf::Narrow(v) => bfs_consistent(g, key, |u| match v[u] {
+            NARROW_INFINITY => INFINITY,
+            d => u32::from(d),
+        }),
+        DistRowBuf::Wide(v) => bfs_consistent(g, key, |u| v[u]),
+    };
+    if !consistent {
+        return Err(StoreError::Malformed(
+            "cached row is not a BFS distance row",
+        ));
+    }
+    Ok(())
+}
+
+/// The local BFS conditions of [`check_row`] over cells `dist`.
+fn bfs_consistent(g: &Graph, key: NodeId, dist: impl Fn(usize) -> u32) -> bool {
+    (0..g.num_nodes() as NodeId).all(|v| {
+        let d = dist(v as usize);
+        let mut closer = v == key || d == INFINITY;
+        for &u in g.neighbors(v) {
+            let du = dist(u as usize);
+            if (d == INFINITY) != (du == INFINITY) || (d != INFINITY && du.abs_diff(d) > 1) {
+                return false;
+            }
+            closer |= du < d;
+        }
+        closer
+    })
 }
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
@@ -765,6 +839,65 @@ mod tests {
             StoreError::UnsupportedVersion(_)
         ));
         assert!(Snapshot::decode(&bytes[..7]).is_err());
+    }
+
+    #[test]
+    fn a_max_shard_front_round_trips() {
+        // The shard count field holds exactly MAX_SHARDS; partitions are
+        // empty caches, so the boundary front is cheap to build.
+        let cfg = EngineConfig {
+            threads: 1,
+            ..EngineConfig::default()
+        };
+        let front = ShardedEngine::new(path(4), || Box::new(UniformScheme), cfg, MAX_SHARDS);
+        let mut snap = Snapshot::capture(&front).unwrap();
+        let back = Snapshot::decode(&snap.encode()).unwrap();
+        assert_eq!(back.shards.len(), MAX_SHARDS);
+        let restored = back.restore(1, ObsConfig::disabled()).unwrap();
+        assert_eq!(restored.num_shards(), MAX_SHARDS);
+        // One more shard fits neither the front nor the format.
+        snap.shards.push(snap.shards[0].clone());
+        assert!(matches!(
+            snap.restore(1, ObsConfig::disabled()),
+            Err(StoreError::Malformed(_))
+        ));
+        assert!(std::panic::catch_unwind(|| snap.encode()).is_err());
+    }
+
+    #[test]
+    fn restore_refuses_rows_that_are_not_distance_rows() {
+        let snap = Snapshot::capture(&warm_front(2)).unwrap();
+        let shard = snap.shards.iter().position(|s| !s.rows.is_empty()).unwrap();
+        let (key, row, _) = snap.shards[shard].rows[0].clone();
+        let cells: Vec<u32> = (0..row.len()).map(|v| row.get(v)).collect();
+        let refused = |key: NodeId, cells: &[u32], shard: usize| {
+            let mut bad = snap.clone();
+            bad.shards[0].rows.clear();
+            bad.shards[1].rows.clear();
+            let row = Arc::new(DistRowBuf::from_wide(cells));
+            bad.shards[shard].rows.push((key, row, false));
+            matches!(
+                bad.restore(1, ObsConfig::disabled()),
+                Err(StoreError::Malformed(_))
+            )
+        };
+        assert!(!refused(key, &cells, shard), "the intact row restores");
+        assert!(refused(key - 2, &cells, shard), "row moved to another key");
+        assert!(refused(key, &cells, 1 - shard), "row in the wrong shard");
+        assert!(
+            refused(48 + shard as NodeId, &cells, shard),
+            "key out of range"
+        );
+        assert!(refused(key, &cells[1..], shard), "short row");
+        let mut at_key = cells.clone();
+        at_key[key as usize] = 1;
+        assert!(refused(key, &at_key, shard), "nonzero at the key");
+        let far = if key > 24 { 0 } else { 47 };
+        for forged in [cells[far] + 2, cells[far] - 1, INFINITY] {
+            let mut inner = cells.clone();
+            inner[far] = forged;
+            assert!(refused(key, &inner, shard), "interior cell {forged}");
+        }
     }
 
     #[test]

@@ -189,8 +189,9 @@ proptest! {
         // Single-byte corruption anywhere in a valid snapshot must
         // yield Ok(decoded) or a typed error — decode is total. And a
         // plausibly sized decode must survive restore (which re-checks
-        // contact ranges and rebuilds the graph through the validating
-        // builder) without panicking either.
+        // contact ranges and cached rows and rebuilds the graph through
+        // the validating builder) without panicking either, and then
+        // serve its restored rows correctly.
         let mut bytes = warm_snapshot_bytes(seed);
         let pos = pos_seed % bytes.len();
         bytes[pos] = byte;
@@ -202,7 +203,24 @@ proptest! {
                 // to test. Everything else corrupted must surface as a
                 // clean Result.
                 if snap.num_nodes <= 1 << 12 && snap.edges.len() <= 1 << 14 {
-                    let _ = snap.restore(1, ObsConfig::default());
+                    if let Ok(mut front) = snap.restore(1, ObsConfig::default()) {
+                        // A restored row is served as-is, so restore must
+                        // have refused any corrupt one: a batch touching
+                        // every restored key must neither panic nor answer
+                        // differently from the same front served cold.
+                        let pairs: Vec<(NodeId, NodeId)> = snap
+                            .shards
+                            .iter()
+                            .flat_map(|s| s.rows.iter().map(|&(key, _, _)| (0, key)))
+                            .collect();
+                        let batch = QueryBatch::from_pairs(&pairs, 2);
+                        let mut cold = snap.clone();
+                        cold.shards.iter_mut().for_each(|s| s.rows.clear());
+                        let mut cold = cold.restore(1, ObsConfig::default()).expect("rows removed");
+                        let warm = front.serve(&batch).expect("restored keys are valid targets");
+                        let want = cold.serve(&batch).expect("restored keys are valid targets");
+                        prop_assert!(identical(&warm.answers, &want.answers));
+                    }
                 }
             }
             Err(e) => {
