@@ -26,7 +26,7 @@
 //! # emit the BENCH_net.json loopback wire baseline (self-hosted)
 //! cargo run -p nav-bench --release --bin nav-engine -- bench-tcp --bench-json [PATH] [--quick] [--threads N] [--seed S]
 //!
-//! # emit the BENCH_scale.json exact-vs-landmark / single-vs-sharded
+//! # emit the BENCH_scale.json exact-routing / single-vs-sharded
 //! # baseline (n = 10^6; --quick is the CI-sized n = 10^5 smoke)
 //! cargo run -p nav-bench --release --bin nav-engine -- scale-bench [PATH] [--quick] [--threads N] [--seed S]
 //!

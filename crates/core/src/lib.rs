@@ -69,7 +69,7 @@ pub use ball::{BallRowSampler, BallScheme};
 pub use faulty::{FailurePlan, FaultConfig, FaultySampler, FaultyScheme};
 pub use kleinberg::KleinbergScheme;
 pub use matrix::{AugmentationMatrix, MatrixScheme};
-pub use oracle::{DistanceOracle, LandmarkOracle, LandmarkRouter, TargetDistanceCache};
+pub use oracle::TargetDistanceCache;
 pub use realization::Realization;
 pub use routing::{GreedyRouter, RouteOutcome};
 pub use sampler::{ContactSampler, SamplerMode, SamplerStats};

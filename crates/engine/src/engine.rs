@@ -312,6 +312,10 @@ impl Engine {
     /// this batch only (the same knob as [`EngineConfig::sampler`];
     /// schemes without a batched sampler fall back to scalar, so any
     /// value is safe on any scheme).
+    ///
+    /// Precondition: `base + batch.len()` fits in a `u64`. Callers taking
+    /// `base` from outside (the network front) must refuse an
+    /// overflowing base first; past it, RNG indices overflow.
     pub fn serve_at(
         &mut self,
         batch: &QueryBatch,

@@ -87,11 +87,15 @@ pub enum ErrorCode {
     /// Transient by construction — the same request succeeds once load
     /// drains, so this is the one refusal a client should retry.
     Overloaded,
-    /// A query field cannot be represented on the wire (today: `trials`
-    /// beyond `u32::MAX`, which the v3 encoder silently clamped — the
-    /// server would then answer a *different* question). Deterministic in
-    /// the request, hence non-retryable; raised client-side before any
-    /// bytes are sent.
+    /// The request cannot be answered as asked. Deterministic in the
+    /// request, hence non-retryable. Raised in two places:
+    ///
+    /// * client-side, before any bytes are sent, when a query's `trials`
+    ///   exceeds `u32::MAX` (the v3 encoder silently clamped it, so the
+    ///   server answered a *different* question);
+    /// * server-side, before the batch reaches the engine, when
+    ///   `rng_base + queries.len()` overflows `u64` (the batch's RNG
+    ///   indices would wrap).
     InvalidQuery,
 }
 

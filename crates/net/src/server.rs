@@ -504,6 +504,19 @@ fn answer(shared: &Shared, req: Request) -> Frame {
             ),
         });
     }
+    // Query `i` runs on RNG index `rng_base + i`: a base that would
+    // wrap past `u64::MAX` is refused here, before the engine lock,
+    // instead of overflowing inside `serve_at`.
+    if req.rng_base.checked_add(req.queries.len() as u64).is_none() {
+        return Frame::Error(ErrorFrame {
+            code: ErrorCode::InvalidQuery,
+            message: format!(
+                "rng_base {} + {} queries overflows the u64 RNG index space",
+                req.rng_base,
+                req.queries.len()
+            ),
+        });
+    }
     let batch = QueryBatch {
         queries: req.queries,
     };

@@ -213,8 +213,9 @@ proptest! {
         // t % k == s) answers every stream bit-identically to a single
         // engine — across shard counts, batch splits, and thread counts.
         // Targets land on different shards mid-batch, so this exercises
-        // the partition/scatter path and the explicit per-query RNG
-        // indexing (`serve_indexed`) that makes placement invisible.
+        // the per-partition cache lookups and inserts and the explicit
+        // per-query RNG indexing (`base + i`) that makes placement
+        // invisible.
         use navigability::engine::ShardedEngine;
         let n = g.num_nodes() as NodeId;
         let mut rng = seeded_rng(seed ^ 0x54a8d);
@@ -396,10 +397,10 @@ proptest! {
         batch_size in 1usize..8,
     ) {
         // The robustness contract: with link drops *and* churn epochs on,
-        // answers stay bit-identical across cache capacities (epoch flips
-        // purge different residencies), thread counts, batch splits, and
-        // shard counts — every query's fate is a pure function of its RNG
-        // index. The 3-epoch / period-4 plan guarantees streams cross
+        // answers stay bit-identical across cache capacities (residencies
+        // differ; rows survive epoch flips), thread counts, batch splits,
+        // and shard counts — every query's fate is a pure function of its
+        // RNG index. The 3-epoch / period-4 plan guarantees streams cross
         // epoch boundaries mid-run.
         use navigability::engine::ShardedEngine;
         let n = g.num_nodes() as NodeId;

@@ -12,9 +12,9 @@
 //!    **bit-identically** to a direct [`run_trials`] / local engine over
 //!    the same seeds — under both admission policies, interleaved
 //!    connections, and mid-stream client disconnects.
-//! 3. **Typed refusals** — wrong handle, oversized batch, and bad
-//!    endpoints come back as error frames, and the connection (and
-//!    engine) keep working afterwards.
+//! 3. **Typed refusals** — wrong handle, oversized batch, bad endpoints
+//!    and an overflowing `rng_base` come back as error frames, and the
+//!    connection (and engine) keep working afterwards.
 //!
 //! Thread counts come from `NAV_TEST_THREADS` ([`nav_par::test_threads`]),
 //! case counts from `PROPTEST_CASES` — both pinned in CI.
@@ -831,6 +831,61 @@ fn oversized_trials_are_refused_client_side_without_retries() {
     );
     assert_eq!(rc.retries(), 0);
     assert_eq!(rc.queries_sent(), 0);
+    server.shutdown();
+}
+
+#[test]
+fn overflowing_rng_base_is_refused_and_the_engine_keeps_serving() {
+    // Query `i` runs on RNG index `rng_base + i`, and `rng_base` comes
+    // straight off the wire. A base that wraps past u64::MAX must be a
+    // typed non-retryable refusal — not an overflow inside the engine
+    // (a panic under its lock in debug, a silently wrapped index in
+    // release).
+    let g = world(48, 5);
+    let cfg = EngineConfig {
+        seed: 5,
+        threads: 1,
+        cache_bytes: 1 << 20,
+        ..EngineConfig::default()
+    };
+    let server = spawn_server(&g, 5, AdmissionPolicy::Lru, NetConfig::default());
+    let batch = QueryBatch::from_pairs(&client_pairs(&g, 6, 2), 3);
+    let mut client = NetClient::connect(server.addr()).expect("connect");
+    let err = client
+        .request(Request {
+            handle: 0,
+            rng_base: u64::MAX,
+            sampler: SamplerMode::Scalar,
+            queries: batch.queries.clone(),
+        })
+        .expect_err("an overflowing rng_base must be refused");
+    assert!(
+        matches!(&err, NetError::Remote(e) if e.code == ErrorCode::InvalidQuery),
+        "{err}"
+    );
+    assert!(!err.is_retryable());
+    drop(client);
+
+    // The highest base that still fits answers on a new connection,
+    // bit-identically to a local engine addressed the same way.
+    let base = u64::MAX - batch.len() as u64;
+    let mut client = NetClient::connect(server.addr()).expect("reconnect");
+    let (answers, metrics) = client
+        .request(Request {
+            handle: 0,
+            rng_base: base,
+            sampler: SamplerMode::Scalar,
+            queries: batch.queries.clone(),
+        })
+        .expect("the engine still serves after the refusal");
+    let mut local = Engine::new(g.clone(), Box::new(UniformScheme), cfg);
+    let expect = local
+        .serve_at(&batch, base, SamplerMode::Scalar)
+        .expect("valid batch");
+    assert!(identical(&answers, &expect.answers));
+    // The refused batch never reached the engine.
+    assert_eq!(metrics.batches, 1);
+    drop(client);
     server.shutdown();
 }
 
