@@ -312,14 +312,13 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
     }
 
     // --- ball-scheme lane-width sweep ------------------------------------
-    // Wider blocks run more trials as bit-lanes of the same lockstep
-    // walk and fill ball rows in fewer MS-BFS passes. A wide row holds
-    // the same rank buckets in a different member order, so answers are
-    // compared across widths as estimators (the at-a-fixed-width
-    // reproducibility gate lives in the engine tests), and each width's
-    // sampler must pass the same chi-squared conformance harness as the
-    // scheme's own draws.
+    // Wider blocks fill more of a lockstep round's ball rows per MS-BFS
+    // pass. Rows are canonical at every width, so answers must be
+    // bit-identical across widths (and agree with the scalar sweep as an
+    // estimator), and each width's sampler must pass the same
+    // chi-squared conformance harness as the scheme's own draws.
     let mut ball_width: Vec<(LaneWidth, f64, f64)> = Vec::new();
+    let mut w64_pairs: Option<Vec<PairStats>> = None;
     for w in LaneWidth::ALL {
         let tcw = TrialConfig {
             sampler: SamplerMode::Batched,
@@ -332,6 +331,12 @@ pub fn render_core_bench(cfg: &ExpConfig) -> String {
         });
         let res = res.expect("timed at least once");
         assert_eq!(res.failures(), 0);
+        let base = w64_pairs.get_or_insert_with(|| res.pairs.clone());
+        assert!(
+            stats_identical(base, &res.pairs),
+            "ball sweep at {} lanes diverged from 64 lanes",
+            w.label()
+        );
         let gm = res.grand_mean();
         assert!(
             (gm_s - gm).abs() / gm_s.max(1e-9) < 0.10,

@@ -14,7 +14,7 @@
 //!
 //! `--sampler batched` routes every trial sweep (e.g. the E1/E7 ball
 //! sweeps) through the batched per-step sampler — the ball scheme then
-//! draws from 64-lane MS-BFS ball-row caches instead of one truncated
+//! draws from MS-BFS-filled ball-row caches instead of one truncated
 //! BFS per visited node; schemes without a batched backend fall back to
 //! the scalar path unchanged.
 //!

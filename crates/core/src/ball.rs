@@ -246,63 +246,97 @@ impl ExplicitScheme for BallScheme {
     }
 }
 
-/// One node's cached ball index: every node of the largest ball
-/// `B(u, 2^K)`, sorted by (dyadic rank, node id), plus the dyadic prefix
+/// One node's cached ball index: the nodes of the largest ball
+/// `B(u, 2^K)` ordered by (dyadic rank, node id), plus the dyadic prefix
 /// sizes `|B(u, 2^k)|` — so "a uniform member of `B(u, 2^k)`" is one
-/// `gen_range` over a prefix of `members`, `O(1)` per draw.
+/// `gen_range` over a prefix of that order.
 ///
 /// `B(u, 2^k) = { v : rank(v) ≤ k }` and ranks are bucketed in ascending
-/// order, so each ball is exactly a prefix of the rank-major layout.
+/// order, so each ball is exactly a prefix of the rank-major order. The
+/// order is canonical — a pure function of the graph and the centre — so
+/// every draw from a row is too, however the row was computed.
+///
+/// Each rank bucket is stored as a bitset over node ids (ascending id is
+/// bit order), only up to the centre's highest rank, with the set-bit
+/// count before every 512-bit block: `⌈n/8⌉` bytes per non-empty rank
+/// instead of four per member, and the `i`-th member is a short block
+/// search plus an in-word select.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BallRow {
-    /// Reachable nodes with `d ≤ 2^K`, rank-major, ascending id within a
-    /// rank.
-    members: Vec<NodeId>,
-    /// `ball_sizes[k] = |B(u, 2^k)|` for `k = 1..=K` (`[0]` unused).
+    /// `u64` words per rank bitset (`⌈n/64⌉`).
+    words: usize,
+    /// Rank bitsets, rank-major: bit `v` of bitset `r − 1` is set ⇔ `v`
+    /// has effective rank `r`. Ranks above the highest non-empty one are
+    /// not stored.
+    bits: Vec<u64>,
+    /// Per stored rank, the set bits of its bitset before each block of
+    /// [`BLOCK_WORDS`] words.
+    marks: Vec<u32>,
+    /// `ball_sizes[k] = |B(u, 2^k)|` for `k = 1..=K` (`[0]` = 0).
     ball_sizes: Vec<u32>,
 }
+
+/// Words per [`BallRow`] select block (512 node ids).
+const BLOCK_WORDS: usize = 8;
 
 impl BallRow {
     /// Builds the index from a full distance row of the centre
     /// (`row[v] = dist(u, v)`, [`INFINITY`] when unreachable).
     pub fn from_distances(scheme: BallScheme, row: &[u32]) -> Self {
-        let kk = scheme.k_max as usize;
-        let max_radius = BallScheme::radius(scheme.k_max);
-        // Effective rank: the smallest scale in 1..=K whose ball holds the
-        // node, or None when it is outside even the largest ball. The
-        // saturated top radius (K ≥ 31) absorbs every reachable node.
-        let rank_in = |d: u32| -> Option<usize> {
-            if d == INFINITY || d > max_radius {
-                return None;
-            }
-            Some((rank_of_distance(d).max(1) as usize).min(kk))
-        };
-        let mut counts = vec![0u32; kk + 1];
-        for &d in row {
-            if let Some(r) = rank_in(d) {
-                counts[r] += 1;
-            }
-        }
-        // Prefix the counts into ball sizes and bucket cursors.
-        let mut ball_sizes = vec![0u32; kk + 1];
-        let mut cursors = vec![0usize; kk + 1];
-        let mut total = 0u32;
-        for k in 1..=kk {
-            cursors[k] = total as usize;
-            total += counts[k];
-            ball_sizes[k] = total;
-        }
-        let mut members = vec![0 as NodeId; total as usize];
+        let ranker = Ranker::new(scheme);
+        let mut built = BallRow::blank(scheme, row.len());
         for (v, &d) in row.iter().enumerate() {
-            if let Some(r) = rank_in(d) {
-                members[cursors[r]] = v as NodeId;
-                cursors[r] += 1;
+            built.insert(ranker.rank(d), v as NodeId);
+        }
+        built.seal();
+        built
+    }
+
+    /// An empty row over `n` nodes with every rank bitset allocated and
+    /// cleared, ready for [`BallRow::insert`] and [`BallRow::seal`]
+    /// without further allocation.
+    fn blank(scheme: BallScheme, n: usize) -> Self {
+        let kk = scheme.k_max as usize;
+        let words = n.div_ceil(64);
+        BallRow {
+            words,
+            bits: vec![0; kk * words],
+            marks: Vec::with_capacity(kk * words.div_ceil(BLOCK_WORDS)),
+            ball_sizes: vec![0; kk + 1],
+        }
+    }
+
+    /// Records that `v` has effective rank `r` (`0` = outside the
+    /// largest ball: ignored).
+    #[inline]
+    fn insert(&mut self, r: u8, v: NodeId) {
+        if r != 0 {
+            let v = v as usize;
+            self.bits[(r as usize - 1) * self.words + v / 64] |= 1 << (v % 64);
+        }
+    }
+
+    /// Finishes a row after its inserts: counts each rank, fills the
+    /// prefix sizes and block marks, and drops the bitsets above the
+    /// highest non-empty rank.
+    fn seal(&mut self) {
+        let words = self.words.max(1);
+        let mut top = 0;
+        let mut total = 0u32;
+        for (r, bucket) in self.bits.chunks(words).enumerate() {
+            let mut in_rank = 0u32;
+            for block in bucket.chunks(BLOCK_WORDS) {
+                self.marks.push(in_rank);
+                in_rank += block.iter().map(|w| w.count_ones()).sum::<u32>();
+            }
+            total += in_rank;
+            self.ball_sizes[r + 1] = total;
+            if in_rank > 0 {
+                top = r + 1;
             }
         }
-        BallRow {
-            members,
-            ball_sizes,
-        }
+        self.bits.truncate(top * self.words);
+        self.marks.truncate(top * self.words.div_ceil(BLOCK_WORDS));
     }
 
     /// `|B(u, 2^k)|` for `k = 1..=K`.
@@ -310,9 +344,35 @@ impl BallRow {
         self.ball_sizes[k as usize] as usize
     }
 
-    /// The members of `B(u, 2^k)` (rank-major prefix of the layout).
-    pub fn ball_members(&self, k: u32) -> &[NodeId] {
-        &self.members[..self.ball_sizes[k as usize] as usize]
+    /// The members of `B(u, 2^k)` in rank-major, ascending-id order.
+    pub fn ball_members(&self, k: u32) -> Vec<NodeId> {
+        (0..self.ball_sizes[k as usize])
+            .map(|i| self.member(i))
+            .collect()
+    }
+
+    /// The `i`-th node of the rank-major order.
+    fn member(&self, i: u32) -> NodeId {
+        // The rank bucket holding position i, then i's place inside it.
+        let r = self.ball_sizes[1..].partition_point(|&size| size <= i);
+        let mut j = i - self.ball_sizes[r];
+        let blocks = self.words.div_ceil(BLOCK_WORDS);
+        let marks = &self.marks[r * blocks..(r + 1) * blocks];
+        let b = marks.partition_point(|&m| m <= j) - 1;
+        j -= marks[b];
+        let bucket = &self.bits[r * self.words..(r + 1) * self.words];
+        for (w, &word) in bucket.iter().enumerate().skip(b * BLOCK_WORDS) {
+            let ones = word.count_ones();
+            if j < ones {
+                let mut word = word;
+                for _ in 0..j {
+                    word &= word - 1;
+                }
+                return (w * 64) as NodeId + word.trailing_zeros();
+            }
+            j -= ones;
+        }
+        unreachable!("position {i} lies inside the row")
     }
 
     /// One scheme draw from the cached index: uniform scale, then a
@@ -320,54 +380,118 @@ impl BallRow {
     /// [`BallScheme::sample_contact`], in two `gen_range` calls.
     fn sample(&self, scheme: &BallScheme, rng: &mut dyn RngCore) -> Option<NodeId> {
         let k = rng.gen_range(1..=scheme.k_max) as usize;
-        let count = self.ball_sizes[k] as u64;
+        let count = self.ball_sizes[k];
         debug_assert!(count >= 1, "a ball always contains its centre");
-        let pick = rng.gen_range(0..count);
-        Some(self.members[pick as usize])
+        let pick = rng.gen_range(0..count as u64);
+        Some(self.member(pick as u32))
     }
 
-    /// Payload bytes of the index (members + prefix table).
+    /// Payload bytes of the index (bitsets, marks and prefix table).
     pub fn bytes(&self) -> usize {
-        (self.members.len() + self.ball_sizes.len()) * std::mem::size_of::<NodeId>()
+        self.bits.len() * std::mem::size_of::<u64>()
+            + (self.marks.len() + self.ball_sizes.len()) * std::mem::size_of::<u32>()
+    }
+
+    /// Releases the bitset and mark capacity [`BallRow::seal`] cut off.
+    fn shrink_to_fit(&mut self) {
+        self.bits.shrink_to_fit();
+        self.marks.shrink_to_fit();
     }
 }
 
-/// Backend (b) of the sampler abstraction: a per-worker **ball-row
-/// cache** with deferred, batched row computation. The trial engine runs
-/// a pair's trials in lockstep rounds ([`ContactSampler::wants_lockstep`])
-/// and announces every concurrent walk's current node through
-/// [`ContactSampler::prepare`]; the sampler packs the *uncached* ones —
-/// real misses, no speculative lanes — up to `width.lanes()` per bit-parallel
-/// MS-BFS pass and builds their [`BallRow`]s straight from the pass's
-/// level-ordered discoveries. Every draw at a cached node is then two
-/// `gen_range` calls. Same per-node distribution as the scalar
-/// [`BallScheme::sample_contact`], radically different cost model:
-/// `O(ball-BFS)` per *visit* becomes one shared pass per round plus
-/// `O(1)` per revisit.
+/// A node's effective rank from a centre: the smallest scale in `1..=K`
+/// whose ball holds it, `0` when it lies outside even the largest ball.
+/// The saturated top radius (`K ≥ 31`) absorbs every reachable node.
+#[derive(Clone, Copy)]
+struct Ranker {
+    kk: usize,
+    max_radius: u32,
+}
+
+impl Ranker {
+    fn new(scheme: BallScheme) -> Self {
+        Ranker {
+            kk: scheme.k_max as usize,
+            max_radius: BallScheme::radius(scheme.k_max),
+        }
+    }
+
+    #[inline]
+    fn rank(self, d: u32) -> u8 {
+        if d == INFINITY || d > self.max_radius {
+            0
+        } else {
+            // K ≤ 32, so the rank fits a byte.
+            (rank_of_distance(d).max(1) as usize).min(self.kk) as u8
+        }
+    }
+}
+
+/// Builds the canonical [`BallRow`]s of `centres` (at most
+/// `MsBfsW::<W>::LANES`) from one MS-BFS pass into `rows`, which the
+/// caller allocates ([`BallRow::blank`]): each discovery sets its node's
+/// bit in the lane's rank bitset, and a popcount sweep per rank seals the
+/// row. Per row that is one bit store per discovery plus `O(n/64)` words
+/// per rank — the same work at any lane occupancy, and no allocation.
+fn fill_pass<const W: usize>(ranker: Ranker, g: &Graph, centres: &[NodeId], rows: &mut [BallRow])
+where
+    MsBfsW<W>: MsBfsWorkspace,
+{
+    MsBfsW::<W>::with_ws(g.num_nodes(), |ms| {
+        ms.run(g, centres, |lane, v, d| {
+            rows[lane as usize].insert(ranker.rank(d), v);
+        });
+    });
+    for row in rows {
+        row.seal();
+    }
+}
+
+/// Backend (b) of the sampler abstraction: a **ball-row cache** with
+/// deferred, batched row computation. The trial engine runs walks in
+/// lockstep rounds ([`ContactSampler::wants_lockstep`]) and announces
+/// every running walk's current node through [`ContactSampler::prepare`];
+/// the sampler packs the *uncached* ones — real misses, no speculative
+/// lanes — up to `width.lanes()` per bit-parallel MS-BFS pass, spreads
+/// the passes over its fill threads ([`ContactSampler::set_threads`]),
+/// and builds canonical [`BallRow`]s. Every draw at a cached node is then
+/// two `gen_range` calls and an in-row select. Same per-node distribution
+/// as the scalar [`BallScheme::sample_contact`], radically different cost
+/// model: `O(ball-BFS)` per *visit* becomes one shared pass per round
+/// plus a few word operations per revisit.
 ///
-/// `byte_cap` bounds the cached payload: once full, draws at uncached
-/// nodes fall back to the scalar scheme (counted in
-/// [`SamplerStats::fallbacks`]) — still correct, just uncached.
+/// Rows are canonical, so a draw is a pure function of the node and the
+/// RNG: neither the width, nor which other centres shared a pass, nor how
+/// many rows were resident can change it.
+///
+/// Memory: rows live for one lockstep round — each `prepare` drops the
+/// rows its nodes do not need — and `byte_cap` bounds how many rows one
+/// fill holds (at least one). When a round's distinct nodes outgrow that,
+/// the round is filled in order, one capped chunk at a time, as its draws
+/// reach each chunk.
 pub struct BallRowSampler {
     scheme: BallScheme,
     rows: HashMap<NodeId, BallRow>,
     byte_cap: usize,
     bytes: usize,
     width: LaneWidth,
+    threads: usize,
+    /// The current round's announced nodes, in draw order.
+    round: Vec<NodeId>,
+    /// Draws made since the round was announced.
+    drawn: usize,
     stats: SamplerStats,
 }
 
 impl BallRowSampler {
-    /// A sampler for `scheme` bounded at `byte_cap` cached bytes
-    /// (`usize::MAX` = unbounded), filling 64 rows per pass.
+    /// A sampler for `scheme` whose fills hold at most `byte_cap` bytes
+    /// of rows (`usize::MAX` = unbounded), 64 rows per pass.
     pub fn new(scheme: BallScheme, byte_cap: usize) -> Self {
         Self::with_width(scheme, byte_cap, LaneWidth::W64)
     }
 
-    /// [`new`], filling `width.lanes()` rows per MS-BFS pass. Rows built
-    /// at any width hold the same rank buckets (discovery order within a
-    /// bucket may differ — every draw is uniform over a bucket prefix, so
-    /// the per-draw distribution is width-invariant).
+    /// [`new`], filling up to `width.lanes()` rows per MS-BFS pass. Rows
+    /// are canonical, so every draw is bit-identical at every width.
     ///
     /// [`new`]: BallRowSampler::new
     pub fn with_width(scheme: BallScheme, byte_cap: usize, width: LaneWidth) -> Self {
@@ -377,6 +501,9 @@ impl BallRowSampler {
             byte_cap,
             bytes: 0,
             width,
+            threads: 1,
+            round: Vec::new(),
+            drawn: 0,
             stats: SamplerStats::default(),
         }
     }
@@ -386,78 +513,76 @@ impl BallRowSampler {
         self.rows.get(&u)
     }
 
-    /// Computes and caches ball rows for up to `width.lanes()` centres in
-    /// one MS-BFS pass, building each [`BallRow`] directly from the pass's
-    /// level-ordered discoveries (distances arrive ascending per lane, so
-    /// rank buckets are contiguous runs — no distance buffer, no sort).
-    fn fill_batch(&mut self, g: &Graph, centres: &[NodeId]) {
-        match self.width {
-            LaneWidth::W64 => self.fill_batch_w::<1>(g, centres),
-            LaneWidth::W128 => self.fill_batch_w::<2>(g, centres),
-            LaneWidth::W256 => self.fill_batch_w::<4>(g, centres),
-        }
+    /// Rows one fill may hold: `byte_cap` over a row's footprint while
+    /// it is built (every rank bitset), at least one.
+    fn row_cap(&self, g: &Graph) -> usize {
+        let kk = self.scheme.k_max as usize;
+        let per_row = kk * g.num_nodes().div_ceil(64) * std::mem::size_of::<u64>()
+            + (kk + 1) * std::mem::size_of::<u32>();
+        (self.byte_cap / per_row).max(1)
     }
 
-    fn fill_batch_w<const W: usize>(&mut self, g: &Graph, centres: &[NodeId])
-    where
-        MsBfsW<W>: MsBfsWorkspace,
-    {
-        debug_assert!(centres.len() <= MsBfsW::<W>::LANES);
-        let kk = self.scheme.k_max;
-        let max_radius = BallScheme::radius(kk);
-        let mut building: Vec<BallRow> = centres
-            .iter()
-            .map(|_| BallRow {
-                members: Vec::new(),
-                ball_sizes: vec![0u32; kk as usize + 1],
-            })
-            .collect();
-        MsBfsW::<W>::with_ws(g.num_nodes(), |ms| {
-            ms.run(g, centres, |lane, v, d| {
-                if d <= max_radius {
-                    let row = &mut building[lane as usize];
-                    let r = (rank_of_distance(d).max(1)).min(kk) as usize;
-                    row.members.push(v);
-                    row.ball_sizes[r] += 1;
-                }
-            });
-        });
-        for (c, mut row) in centres.iter().zip(building) {
-            // Per-rank counts → cumulative ball sizes.
-            for k in 2..=kk as usize {
-                row.ball_sizes[k] += row.ball_sizes[k - 1];
-            }
-            debug_assert_eq!(
-                row.ball_sizes[kk as usize] as usize,
-                row.members.len(),
-                "level-ordered discoveries must bucket every member"
-            );
-            self.bytes += row.bytes();
-            self.stats.rows += 1;
-            self.rows.insert(*c, row);
-        }
-        self.stats.passes += 1;
-        self.stats.row_bytes = self.bytes as u64;
-    }
-
-    /// The announced nodes that are not yet cached and still fit the byte
-    /// budget, deduplicated.
-    fn plan_misses(&self, g: &Graph, nodes: &[NodeId]) -> Vec<NodeId> {
-        let n = g.num_nodes();
-        // A row's worst case: n member ids plus the K+1 prefix entries.
-        let per_row = (n + self.scheme.k_max as usize + 1) * std::mem::size_of::<NodeId>();
-        let room = (self.byte_cap.saturating_sub(self.bytes)) / per_row.max(1);
+    /// Makes the rows of the first `row_cap` distinct nodes of `upcoming`
+    /// resident. Other resident rows are dropped when `evict` is set (a
+    /// new round) or when keeping them would overrun the cap.
+    fn fill_ahead(&mut self, g: &Graph, upcoming: &[NodeId], evict: bool) {
+        let cap = self.row_cap(g);
+        let mut chunk: HashSet<NodeId> = HashSet::new();
         let mut misses: Vec<NodeId> = Vec::new();
-        let mut seen: HashSet<NodeId> = HashSet::new();
-        for &u in nodes {
-            if misses.len() >= room {
+        for &u in upcoming {
+            if chunk.len() == cap {
                 break;
             }
-            if !self.rows.contains_key(&u) && seen.insert(u) {
+            if chunk.insert(u) && !self.rows.contains_key(&u) {
                 misses.push(u);
             }
         }
-        misses
+        if evict || self.rows.len() + misses.len() > cap {
+            self.rows.retain(|u, _| chunk.contains(u));
+            self.bytes = self.rows.values().map(BallRow::bytes).sum();
+        }
+        self.fill(g, &misses);
+    }
+
+    /// Computes and caches the rows of `centres` (distinct, uncached):
+    /// evenly loaded passes of at most `width.lanes()` centres, run on
+    /// `threads` workers, each building its own pass's rows. Rows are
+    /// allocated here, on the calling thread, so short-lived workers never
+    /// leave row memory behind in their allocator arenas.
+    fn fill(&mut self, g: &Graph, centres: &[NodeId]) {
+        if centres.is_empty() {
+            return;
+        }
+        let n = g.num_nodes();
+        let lanes = self.width.lanes();
+        let per_pass = centres.len().div_ceil(centres.len().div_ceil(lanes));
+        let ranker = Ranker::new(self.scheme);
+        let width = self.width;
+        let mut built: Vec<BallRow> = centres
+            .iter()
+            .map(|_| BallRow::blank(self.scheme, n))
+            .collect();
+        let mut passes: Vec<(&[NodeId], &mut [BallRow])> = centres
+            .chunks(per_pass)
+            .zip(built.chunks_mut(per_pass))
+            .collect();
+        let num_passes = passes.len();
+        nav_par::parallel_chunks_mut(&mut passes, 1, self.threads, |_, job| {
+            let (centres, rows) = &mut job[0];
+            match width {
+                LaneWidth::W64 => fill_pass::<1>(ranker, g, centres, rows),
+                LaneWidth::W128 => fill_pass::<2>(ranker, g, centres, rows),
+                LaneWidth::W256 => fill_pass::<4>(ranker, g, centres, rows),
+            }
+        });
+        for (&u, mut row) in centres.iter().zip(built) {
+            row.shrink_to_fit();
+            self.bytes += row.bytes();
+            self.rows.insert(u, row);
+        }
+        self.stats.rows += centres.len() as u64;
+        self.stats.passes += num_passes as u64;
+        self.stats.row_bytes = self.bytes as u64;
     }
 }
 
@@ -467,25 +592,35 @@ impl ContactSampler for BallRowSampler {
     }
 
     fn sample(&mut self, g: &Graph, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId> {
-        if let Some(row) = self.rows.get(&u) {
+        let at = self.drawn;
+        self.drawn += 1;
+        if self.rows.contains_key(&u) {
             self.stats.hits += 1;
-            return row.sample(&self.scheme, rng);
+        } else {
+            self.stats.misses += 1;
+            // Inside a round (the draw lands where it was announced) the
+            // next chunk of the round fills ahead; any other draw fills
+            // its own row.
+            let round = std::mem::take(&mut self.round);
+            let upcoming = match round.get(at..) {
+                Some(rest) if rest.first() == Some(&u) => rest,
+                _ => std::slice::from_ref(&u),
+            };
+            self.fill_ahead(g, upcoming, false);
+            self.round = round;
         }
-        self.stats.misses += 1;
-        let misses = self.plan_misses(g, &[u]);
-        if misses.is_empty() {
-            self.stats.fallbacks += 1;
-            return self.scheme.sample_contact(g, u, rng);
-        }
-        self.fill_batch(g, &misses);
         self.rows[&u].sample(&self.scheme, rng)
     }
 
     fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
-        let misses = self.plan_misses(g, nodes);
-        for chunk in misses.chunks(self.width.lanes()) {
-            self.fill_batch(g, chunk);
-        }
+        self.round.clear();
+        self.round.extend_from_slice(nodes);
+        self.drawn = 0;
+        self.fill_ahead(g, nodes, true);
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        self.threads = threads.max(1);
     }
 
     fn wants_lockstep(&self) -> bool {
@@ -684,7 +819,9 @@ mod tests {
             assert_eq!(got, expect, "k={k}");
             assert_eq!(row.ball_size(k), expect.len());
         }
-        assert!(row.bytes() >= 23 * 4);
+        // Ranks 1..=4 are stored (the farthest node is 15 hops away), one
+        // word and one block mark each, plus the K + 1 = 6 prefix sizes.
+        assert_eq!(row.bytes(), 4 * 8 + 4 * 4 + 6 * 4);
     }
 
     #[test]
@@ -799,7 +936,7 @@ mod tests {
     #[test]
     fn wide_sampler_rows_hold_the_same_rank_buckets() {
         // Rows filled at 128/256 lanes bucket exactly the dyadic balls the
-        // scalar construction does (member order within a bucket is free).
+        // scalar construction does (in the same canonical order, too).
         let g = path(150);
         let scheme = BallScheme::new(&g);
         for width in [LaneWidth::W128, LaneWidth::W256] {
@@ -844,21 +981,77 @@ mod tests {
         }
     }
 
-    #[test]
-    fn exhausted_byte_budget_falls_back_to_scalar() {
-        let g = path(30);
-        let scheme = BallScheme::new(&g);
-        let mut sampler = BallRowSampler::new(scheme, 0);
-        let mut rng = seeded_rng(6);
-        for _ in 0..10 {
-            let v = sampler.sample(&g, 3, &mut rng).unwrap();
-            assert!(v < 30);
+    /// A 300-node graph with a long path, seeded chords and an 18-node
+    /// component of its own, so MS-BFS passes mix top-down and bottom-up
+    /// levels and some centres never reach others.
+    fn mixed_graph() -> Graph {
+        let mut rng = seeded_rng(404);
+        let mut edges: Vec<(NodeId, NodeId)> = (0..281u32).map(|u| (u, u + 1)).collect();
+        edges.extend((283..299u32).map(|u| (u, u + 1)));
+        for _ in 0..60 {
+            edges.push((rng.gen_range(0..282), rng.gen_range(0..282)));
         }
-        let stats = sampler.stats();
-        assert_eq!(stats.fallbacks, 10);
-        assert_eq!(stats.rows, 0);
-        assert_eq!(stats.row_bytes, 0);
-        assert!(sampler.row(3).is_none());
+        edges.retain(|&(u, v)| u != v);
+        GraphBuilder::from_edges(300, edges).unwrap()
+    }
+
+    #[test]
+    fn sampler_rows_equal_from_distances_at_every_width_and_lane_mix() {
+        // Rows are canonical: whatever width fills them and whichever
+        // centres share a pass, each equals the scalar construction.
+        let g = mixed_graph();
+        let scheme = BallScheme::new(&g);
+        let all: Vec<NodeId> = (0..300).collect();
+        let reversed: Vec<NodeId> = all.iter().rev().copied().collect();
+        let strided: Vec<NodeId> = (0..300).map(|i| (i * 7) % 300).collect();
+        for width in LaneWidth::ALL {
+            for mix in [&all, &reversed, &strided] {
+                let mut sampler = BallRowSampler::with_width(scheme, usize::MAX, width);
+                sampler.set_threads(2);
+                sampler.prepare(&g, mix);
+                for u in 0..300u32 {
+                    let dist = with_bfs(300, |bfs| bfs.distances(&g, u));
+                    let want = BallRow::from_distances(scheme, &dist);
+                    assert_eq!(sampler.row(u), Some(&want), "{width} u={u}");
+                }
+            }
+            // One centre per pass: the emptiest lane mix there is.
+            let mut alone = BallRowSampler::with_width(scheme, usize::MAX, width);
+            for u in [0u32, 150, 281, 282, 290] {
+                alone.prepare(&g, &[u]);
+                let dist = with_bfs(300, |bfs| bfs.distances(&g, u));
+                assert_eq!(alone.row(u), Some(&BallRow::from_distances(scheme, &dist)));
+            }
+        }
+    }
+
+    #[test]
+    fn one_row_budget_fills_each_round_in_draw_order() {
+        // A budget below one row still holds one: the round fills one
+        // chunk at a time as its draws reach it, and every draw matches
+        // the unbounded sampler's.
+        let g = mixed_graph();
+        let scheme = BallScheme::new(&g);
+        let round: Vec<NodeId> = vec![5, 5, 90, 17, 5, 290, 90, 90];
+        let mut unbounded = BallRowSampler::new(scheme, usize::MAX);
+        let mut tight = BallRowSampler::new(scheme, 0);
+        let (mut a, mut b) = (seeded_rng(12), seeded_rng(12));
+        for _ in 0..3 {
+            unbounded.prepare(&g, &round);
+            tight.prepare(&g, &round);
+            for &u in &round {
+                assert_eq!(unbounded.sample(&g, u, &mut a), tight.sample(&g, u, &mut b));
+                assert_eq!(tight.rows.len(), 1);
+            }
+        }
+        assert_eq!(unbounded.stats().passes, 1, "later rounds keep their rows");
+        assert_eq!(unbounded.stats().misses, 0);
+        let t = tight.stats();
+        assert_eq!((t.hits + t.misses) as usize, 3 * round.len());
+        assert_eq!(t.fallbacks, 0);
+        // Each run of one node fills once: 5, 90, 17, 5, 290, 90 a round.
+        assert_eq!(t.rows, 3 * 6);
+        assert!(t.row_bytes > 0);
     }
 
     #[test]

@@ -105,47 +105,33 @@ impl<S: ExplicitScheme> ExplicitScheme for FaultyScheme<S> {
     }
 }
 
-/// The i.i.d. link-drop coin at the [`ContactSampler`] layer: wraps any
-/// sampler (scalar or batched), draws the inner contact first and the
-/// failure coin second — exactly the [`FaultyScheme::sample_contact`]
-/// order, so `ScalarSampler(FaultyScheme(S, p))` and
-/// `FaultySampler(ScalarSampler(S), p)` consume bit-identical RNG
-/// streams. Counts the contacts it suppresses, so the serving layer can
-/// report dropped links.
-pub struct FaultySampler<T> {
-    inner: T,
+/// The i.i.d. link-drop coin on its own, flipped after each contact draw
+/// on the same RNG — exactly the [`FaultyScheme::sample_contact`] order.
+/// Counts the contacts it suppresses. [`FaultySampler`] is one coin in
+/// front of one sampler; the serving engine keeps one coin per query in
+/// front of a sampler its whole batch shares.
+#[derive(Clone, Copy, Debug)]
+pub struct DropCoin {
     drop_prob: f64,
     dropped: u64,
 }
 
-impl<T: ContactSampler> FaultySampler<T> {
-    /// Wraps `inner`; `drop_prob` must be in `[0, 1]`.
-    pub fn new(inner: T, drop_prob: f64) -> Self {
+impl DropCoin {
+    /// A coin dropping each contact with probability `drop_prob`, which
+    /// must be in `[0, 1]`. At `0` it never touches the RNG.
+    pub fn new(drop_prob: f64) -> Self {
         assert!(
             (0.0..=1.0).contains(&drop_prob),
             "drop probability {drop_prob} outside [0, 1]"
         );
-        FaultySampler {
-            inner,
+        DropCoin {
             drop_prob,
             dropped: 0,
         }
     }
 
-    /// Contacts suppressed by the drop coin so far (coin flips that fired
-    /// on a draw that actually produced a contact).
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-}
-
-impl<T: ContactSampler> ContactSampler for FaultySampler<T> {
-    fn name(&self) -> String {
-        format!("{}+drop{}", self.inner.name(), self.drop_prob)
-    }
-
-    fn sample(&mut self, g: &Graph, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId> {
-        let contact = self.inner.sample(g, u, rng);
+    /// Flips the coin for a freshly drawn `contact`: `None` when it fires.
+    pub fn apply(&mut self, contact: Option<NodeId>, rng: &mut dyn RngCore) -> Option<NodeId> {
         if self.drop_prob > 0.0 && rng.gen::<f64>() < self.drop_prob {
             if contact.is_some() {
                 self.dropped += 1;
@@ -155,8 +141,57 @@ impl<T: ContactSampler> ContactSampler for FaultySampler<T> {
         contact
     }
 
+    /// Contacts suppressed so far (coin flips that fired on a draw that
+    /// actually produced a contact).
+    pub fn dropped(&self) -> u64 {
+        self.dropped
+    }
+}
+
+/// The i.i.d. link-drop coin at the [`ContactSampler`] layer: wraps any
+/// sampler (scalar or batched), draws the inner contact first and the
+/// failure coin second — exactly the [`FaultyScheme::sample_contact`]
+/// order, so `ScalarSampler(FaultyScheme(S, p))` and
+/// `FaultySampler(ScalarSampler(S), p)` consume bit-identical RNG
+/// streams. Counts the contacts it suppresses, so the serving layer can
+/// report dropped links.
+pub struct FaultySampler<T> {
+    inner: T,
+    coin: DropCoin,
+}
+
+impl<T: ContactSampler> FaultySampler<T> {
+    /// Wraps `inner`; `drop_prob` must be in `[0, 1]`.
+    pub fn new(inner: T, drop_prob: f64) -> Self {
+        FaultySampler {
+            inner,
+            coin: DropCoin::new(drop_prob),
+        }
+    }
+
+    /// Contacts suppressed by the drop coin so far (coin flips that fired
+    /// on a draw that actually produced a contact).
+    pub fn dropped(&self) -> u64 {
+        self.coin.dropped()
+    }
+}
+
+impl<T: ContactSampler> ContactSampler for FaultySampler<T> {
+    fn name(&self) -> String {
+        format!("{}+drop{}", self.inner.name(), self.coin.drop_prob)
+    }
+
+    fn sample(&mut self, g: &Graph, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId> {
+        let contact = self.inner.sample(g, u, rng);
+        self.coin.apply(contact, rng)
+    }
+
     fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
         self.inner.prepare(g, nodes);
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        self.inner.set_threads(threads);
     }
 
     fn wants_lockstep(&self) -> bool {

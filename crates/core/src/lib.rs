@@ -29,7 +29,7 @@
 //! the scalar reference backend (bit-identical to calling
 //! [`scheme::AugmentationScheme::sample_contact`] directly), the ball-row
 //! cache ([`ball::BallRowSampler`] — lockstep trial rounds batching cache
-//! misses 64 per MS-BFS pass), and pre-realized contact tables
+//! misses up to 256 per MS-BFS pass), and pre-realized contact tables
 //! ([`realization`]). The conformance harness ([`conformance`])
 //! chi-squared-tests every backend against the scheme's declared
 //! distribution.
@@ -66,7 +66,7 @@ pub mod uniform;
 pub mod workspace;
 
 pub use ball::{BallRowSampler, BallScheme};
-pub use faulty::{FailurePlan, FaultConfig, FaultySampler, FaultyScheme};
+pub use faulty::{DropCoin, FailurePlan, FaultConfig, FaultySampler, FaultyScheme};
 pub use kleinberg::KleinbergScheme;
 pub use matrix::{AugmentationMatrix, MatrixScheme};
 pub use oracle::TargetDistanceCache;

@@ -14,9 +14,9 @@
 //!   identical RNG stream, so trial results are **bit-identical** to the
 //!   pre-sampler engine.
 //! * [`crate::ball::BallRowSampler`] — backend (b), the ball-row cache:
-//!   computes truncated-BFS ball rows 64 at a time by bit-parallel MS-BFS
-//!   on first visit and serves every later draw for a cached node in
-//!   `O(1)`, distribution-identical to the scalar draw.
+//!   computes canonical ball rows up to 256 at a time by bit-parallel
+//!   MS-BFS on first visit and serves every later draw for a cached node
+//!   in a few word operations, distribution-identical to the scalar draw.
 //! * pre-realized — backend (c): a [`crate::realization::Realization`]
 //!   (e.g. from [`crate::ball::BallScheme::realize_batched`]) *is* an
 //!   [`AugmentationScheme`], so serving it through [`ScalarSampler`] costs
@@ -74,12 +74,13 @@ pub struct SamplerStats {
     pub misses: u64,
     /// Ball rows computed and cached.
     pub rows: u64,
-    /// MS-BFS passes issued to fill rows (≤ 64 rows each).
+    /// MS-BFS passes issued to fill rows (≤ `width.lanes()` rows each).
     pub passes: u64,
     /// Payload bytes of cached rows at the end of the worker's run.
     pub row_bytes: u64,
-    /// Draws answered by the scalar scheme because the byte budget was
-    /// exhausted (correct, just uncached).
+    /// Always 0: every sampler answers every draw on its own path (the
+    /// ball-row cache always holds at least one row). Kept because
+    /// navbench reports it.
     pub fallbacks: u64,
 }
 
@@ -114,14 +115,21 @@ pub trait ContactSampler {
     fn sample(&mut self, g: &Graph, u: NodeId, rng: &mut dyn RngCore) -> Option<NodeId>;
 
     /// Announces nodes about to be sampled, letting a batching backend
-    /// compute their state in bulk (64 ball rows per MS-BFS pass) before
+    /// compute their state in bulk (many ball rows per MS-BFS pass) before
     /// the per-node draws land. Stateless samplers ignore it.
     fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
         let _ = (g, nodes);
     }
 
-    /// `true` when the sampler profits from the trial engine running a
-    /// pair's trials in lockstep rounds (all concurrent walks announce
+    /// Lets a batching backend spread each bulk fill over `threads`
+    /// workers (`1`, the default, fills inline). Never changes a draw.
+    fn set_threads(&mut self, threads: usize) {
+        let _ = threads;
+    }
+
+    /// `true` when the sampler profits from the trial engine running
+    /// trials in lockstep rounds (a pair's, or a whole serving batch's:
+    /// all concurrent walks announce
     /// their current nodes through [`ContactSampler::prepare`], so misses
     /// batch with no wasted lanes). The scalar backend keeps the
     /// sequential per-trial order — and with it bit-identity to the
@@ -147,6 +155,10 @@ impl<T: ContactSampler + ?Sized> ContactSampler for Box<T> {
 
     fn prepare(&mut self, g: &Graph, nodes: &[NodeId]) {
         (**self).prepare(g, nodes);
+    }
+
+    fn set_threads(&mut self, threads: usize) {
+        (**self).set_threads(threads);
     }
 
     fn wants_lockstep(&self) -> bool {
@@ -184,9 +196,9 @@ impl<S: AugmentationScheme + ?Sized> ContactSampler for ScalarSampler<'_, S> {
 }
 
 /// Builds the sampler `mode` selects for `scheme`, for one routing
-/// worker. `byte_cap` bounds the bytes of cached sampler state
-/// (`usize::MAX` = unbounded); a sampler past its cap keeps answering
-/// correctly through the scalar path.
+/// worker. `byte_cap` bounds the bytes of sampler state one fill holds
+/// (`usize::MAX` = unbounded; the ball-row cache always holds at least
+/// one row). It never changes a draw.
 pub fn sampler_for<'s, S: AugmentationScheme + ?Sized>(
     scheme: &'s S,
     g: &Graph,
@@ -198,8 +210,7 @@ pub fn sampler_for<'s, S: AugmentationScheme + ?Sized>(
 
 /// [`sampler_for`] at an explicit MS-BFS word-block width: a batching
 /// backend fills `width.lanes()` rows per pass instead of 64. The width
-/// never changes the per-draw distribution — only how many misses one
-/// pass amortises.
+/// never changes a draw — only how many misses one pass amortises.
 pub fn sampler_for_w<'s, S: AugmentationScheme + ?Sized>(
     scheme: &'s S,
     g: &Graph,

@@ -8,6 +8,7 @@
 //! derived from `(seed, pair index)` — results are bit-identical across
 //! thread counts.
 
+use crate::faulty::DropCoin;
 use crate::oracle::TargetDistanceCache;
 use crate::routing::{default_step_cap, GreedyRouter};
 use crate::sampler::{sampler_for_w, ContactSampler, SamplerMode};
@@ -34,9 +35,8 @@ pub struct TrialConfig {
     pub sampler: SamplerMode,
     /// MS-BFS word-block width for the target-distance oracle fills and
     /// the batched sampler backends: 64, 128 or 256 bit-lanes per pass.
-    /// Distance rows are exact at every width, so scalar-mode results are
-    /// bit-identical across widths; batched ball results are
-    /// distribution-identical (cache fill order differs).
+    /// Distance rows and ball rows are exact and canonical at every
+    /// width, so results are bit-identical across widths in both modes.
     pub width: LaneWidth,
 }
 
@@ -141,14 +141,10 @@ pub fn aggregate_pair<S: AugmentationScheme + ?Sized>(
 /// which is where the batched backends earn their amortisation.
 ///
 /// Samplers that ask for it ([`ContactSampler::wants_lockstep`]) get the
-/// pair's trials run as **lockstep rounds**: every trial's walk advances
-/// one hop per round, and all the walks' current nodes are announced to
-/// [`ContactSampler::prepare`] first — so the round's cache misses batch
-/// into bit-parallel MS-BFS passes with no speculative lanes. Each walk
-/// still makes exactly the draws it would make sequentially (round order
-/// only reassigns which RNG values land in which trial, which no
-/// per-trial statistic can see); the scalar backend keeps the sequential
-/// order and with it bit-identity to the pre-sampler engine.
+/// pair's trials run as **lockstep rounds** through
+/// [`aggregate_lockstep`] with this one pair; the scalar backend keeps
+/// the sequential per-trial order and with it bit-identity to the
+/// pre-sampler engine.
 pub fn aggregate_pair_with<C: ContactSampler + ?Sized>(
     router: &GreedyRouter<'_>,
     sampler: &mut C,
@@ -157,88 +153,163 @@ pub fn aggregate_pair_with<C: ContactSampler + ?Sized>(
     trials: usize,
     cap: u32,
 ) -> PairStats {
-    let mut sum = 0.0f64;
-    let mut sum_sq = 0.0f64;
-    let mut max_steps = 0u32;
-    let mut long_links = 0.0f64;
-    let mut failures = 0usize;
-    let mut record = |steps: u32, reached: bool, long: u32| {
-        if !reached {
-            failures += 1;
-            return;
-        }
-        let st = steps as f64;
-        sum += st;
-        sum_sq += st * st;
-        max_steps = max_steps.max(steps);
-        long_links += long as f64;
-    };
     if sampler.wants_lockstep() {
-        let g = router.graph();
-        let target = router.target();
-        #[derive(Clone)]
-        struct Walk {
-            u: NodeId,
-            steps: u32,
-            long: u32,
-            running: bool,
-        }
-        let mut walks = vec![
-            Walk {
-                u: s,
+        let mut pair = [LockstepPair {
+            router,
+            s,
+            trials,
+            rng,
+            coin: DropCoin::new(0.0),
+        }];
+        return aggregate_lockstep(sampler, &mut pair, cap)
+            .pop()
+            .expect("one pair in, one out");
+    }
+    let mut tally = Tally::default();
+    for _ in 0..trials {
+        let out = router.route_with(sampler, s, rng, cap, false);
+        tally.record(out.steps, out.reached, out.long_links_used);
+    }
+    tally.finish(router, s, trials)
+}
+
+/// One (s, t) pair's part in an [`aggregate_lockstep`] run.
+pub struct LockstepPair<'a> {
+    /// Routes towards the pair's target (its distance row and fault view).
+    pub router: &'a GreedyRouter<'a>,
+    /// The source every trial starts from.
+    pub s: NodeId,
+    /// Independent routing trials of the pair.
+    pub trials: usize,
+    /// The pair's own RNG: every draw of its walks, and nothing else.
+    pub rng: &'a mut dyn RngCore,
+    /// The pair's link-drop coin, flipped after each of its draws
+    /// (`DropCoin::new(0.0)` never fires and never touches the RNG).
+    pub coin: DropCoin,
+}
+
+/// Runs the trials of several pairs as **one** lockstep walk over a
+/// shared sampler and returns each pair's [`PairStats`], in order.
+///
+/// Every round, every running walk of every pair — pair-major, trial
+/// order within a pair — announces its current node, so one
+/// [`ContactSampler::prepare`] sees all of the round's misses and can
+/// batch them into full bit-parallel MS-BFS passes. The walks then draw
+/// in the same order, each pair on its own RNG: a pair's walks make
+/// exactly the draws, in exactly the order, they make when the pair runs
+/// alone. So with a sampler whose draws depend only on the node and the
+/// RNG (canonical ball rows), k pairs run together give the same bits as
+/// k single-pair runs. (Round order only reassigns which RNG values land
+/// in which trial of a pair, which no per-trial statistic can see.)
+pub fn aggregate_lockstep<C: ContactSampler + ?Sized>(
+    sampler: &mut C,
+    pairs: &mut [LockstepPair<'_>],
+    cap: u32,
+) -> Vec<PairStats> {
+    let Some(first) = pairs.first() else {
+        return Vec::new();
+    };
+    let g = first.router.graph();
+    #[derive(Clone)]
+    struct Walk {
+        pair: usize,
+        u: NodeId,
+        steps: u32,
+        long: u32,
+        running: bool,
+    }
+    let mut walks: Vec<Walk> = pairs
+        .iter()
+        .enumerate()
+        .flat_map(|(pair, p)| {
+            let walk = Walk {
+                pair,
+                u: p.s,
                 steps: 0,
                 long: 0,
                 running: true,
             };
-            trials
-        ];
-        let mut announce: Vec<NodeId> = Vec::new();
-        loop {
-            announce.clear();
-            for w in walks.iter_mut().filter(|w| w.running) {
-                // The same stop conditions as `GreedyRouter::route_with`.
-                if w.u == target || w.steps >= cap || router.dist_to_target(w.u) == INFINITY {
-                    w.running = false;
-                } else {
-                    announce.push(w.u);
-                }
-            }
-            if announce.is_empty() {
-                break;
-            }
-            sampler.prepare(g, &announce);
-            for w in walks.iter_mut().filter(|w| w.running) {
-                let contact = sampler.sample(g, w.u, rng);
-                let Some((next, long)) = router.step(w.u, contact) else {
-                    w.running = false;
-                    continue;
-                };
-                w.long += long as u32;
-                w.u = next;
-                w.steps += 1;
+            std::iter::repeat_n(walk, p.trials)
+        })
+        .collect();
+    let mut announce: Vec<NodeId> = Vec::new();
+    loop {
+        announce.clear();
+        for w in walks.iter_mut().filter(|w| w.running) {
+            let router = pairs[w.pair].router;
+            // The same stop conditions as `GreedyRouter::route_with`.
+            if w.u == router.target() || w.steps >= cap || router.dist_to_target(w.u) == INFINITY {
+                w.running = false;
+            } else {
+                announce.push(w.u);
             }
         }
-        for w in walks {
-            record(w.steps, w.u == target, w.long);
+        if announce.is_empty() {
+            break;
         }
-    } else {
-        for _ in 0..trials {
-            let out = router.route_with(sampler, s, rng, cap, false);
-            record(out.steps, out.reached, out.long_links_used);
+        sampler.prepare(g, &announce);
+        for w in walks.iter_mut().filter(|w| w.running) {
+            let p = &mut pairs[w.pair];
+            let contact = sampler.sample(g, w.u, p.rng);
+            let contact = p.coin.apply(contact, p.rng);
+            let Some((next, long)) = p.router.step(w.u, contact) else {
+                w.running = false;
+                continue;
+            };
+            w.long += long as u32;
+            w.u = next;
+            w.steps += 1;
         }
     }
-    let ok = (trials - failures).max(1) as f64;
-    let mean = sum / ok;
-    let var = (sum_sq / ok - mean * mean).max(0.0);
-    PairStats {
-        s,
-        t: router.target(),
-        dist: router.dist_to_target(s),
-        mean_steps: mean,
-        std_steps: var.sqrt(),
-        max_steps,
-        mean_long_links: long_links / ok,
-        failures,
+    let mut tallies = vec![Tally::default(); pairs.len()];
+    for w in &walks {
+        let reached = w.u == pairs[w.pair].router.target();
+        tallies[w.pair].record(w.steps, reached, w.long);
+    }
+    pairs
+        .iter()
+        .zip(tallies)
+        .map(|(p, tally)| tally.finish(p.router, p.s, p.trials))
+        .collect()
+}
+
+/// Running sums of one pair's trial outcomes, recorded in trial order.
+#[derive(Clone, Default)]
+struct Tally {
+    sum: f64,
+    sum_sq: f64,
+    max_steps: u32,
+    long_links: f64,
+    failures: usize,
+}
+
+impl Tally {
+    fn record(&mut self, steps: u32, reached: bool, long: u32) {
+        if !reached {
+            self.failures += 1;
+            return;
+        }
+        let st = steps as f64;
+        self.sum += st;
+        self.sum_sq += st * st;
+        self.max_steps = self.max_steps.max(steps);
+        self.long_links += long as f64;
+    }
+
+    fn finish(self, router: &GreedyRouter<'_>, s: NodeId, trials: usize) -> PairStats {
+        let ok = (trials - self.failures).max(1) as f64;
+        let mean = self.sum / ok;
+        let var = (self.sum_sq / ok - mean * mean).max(0.0);
+        PairStats {
+            s,
+            t: router.target(),
+            dist: router.dist_to_target(s),
+            mean_steps: mean,
+            std_steps: var.sqrt(),
+            max_steps: self.max_steps,
+            mean_long_links: self.long_links / ok,
+            failures: self.failures,
+        }
     }
 }
 
@@ -497,6 +568,71 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lockstep_over_k_pairs_equals_k_single_pair_runs() {
+        // One shared ball-row sampler driving k pairs together must give
+        // every pair the statistics (and drop counts) of running it alone
+        // over its own sampler.
+        use crate::ball::{BallRowSampler, BallScheme};
+        use crate::faulty::FaultySampler;
+        let g = GraphBuilder::from_edges(
+            120,
+            (0..119u32)
+                .map(|u| (u, u + 1))
+                .chain([(3, 60), (40, 100), (7, 90)]),
+        )
+        .unwrap();
+        let scheme = BallScheme::new(&g);
+        let cap = default_step_cap(&g);
+        let queries: Vec<(NodeId, NodeId, usize, f64)> = vec![
+            (0, 119, 5, 0.0),
+            (60, 3, 1, 0.3),
+            (119, 0, 7, 0.0),
+            (8, 119, 4, 0.5),
+            (50, 50, 3, 0.0),
+        ];
+        let routers: Vec<GreedyRouter<'_>> = queries
+            .iter()
+            .map(|&(_, t, _, _)| GreedyRouter::new(&g, t).unwrap())
+            .collect();
+        let mut rngs: Vec<_> = (0..queries.len() as u64).map(|i| task_rng(3, i)).collect();
+        let mut pairs: Vec<LockstepPair<'_>> = queries
+            .iter()
+            .zip(&routers)
+            .zip(rngs.iter_mut())
+            .map(|((&(s, _, trials, p), router), rng)| LockstepPair {
+                router,
+                s,
+                trials,
+                rng,
+                coin: DropCoin::new(p),
+            })
+            .collect();
+        let mut shared = BallRowSampler::new(scheme, usize::MAX);
+        let together = aggregate_lockstep(&mut shared, &mut pairs, cap);
+        assert_eq!(together.len(), queries.len());
+        for (i, &(s, t, trials, p)) in queries.iter().enumerate() {
+            let router = GreedyRouter::new(&g, t).unwrap();
+            let mut alone = FaultySampler::new(BallRowSampler::new(scheme, usize::MAX), p);
+            let want = aggregate_pair_with(
+                &router,
+                &mut alone,
+                s,
+                &mut task_rng(3, i as u64),
+                trials,
+                cap,
+            );
+            assert!(
+                together[i].bits_eq(&want),
+                "pair {i}: {:?} vs {want:?}",
+                together[i]
+            );
+            assert_eq!(pairs[i].coin.dropped(), alone.dropped(), "pair {i}");
+        }
+        assert!(pairs.iter().any(|p| p.coin.dropped() > 0));
+        assert!(aggregate_lockstep(&mut shared, &mut [], cap).is_empty());
     }
 
     #[test]

@@ -3,11 +3,11 @@
 use crate::batch::{BatchResult, QueryBatch};
 use crate::cache::{AdmissionPolicy, CacheStats, RowCache};
 use crate::metrics::EngineMetrics;
-use nav_core::faulty::{FaultConfig, FaultySampler};
+use nav_core::faulty::{DropCoin, FaultConfig, FaultySampler};
 use nav_core::routing::{default_step_cap, GreedyRouter};
 use nav_core::sampler::{sampler_for_w, ContactSampler, SamplerMode, SamplerStats};
 use nav_core::scheme::AugmentationScheme;
-use nav_core::trial::{aggregate_pair_with, PairStats};
+use nav_core::trial::{aggregate_lockstep, aggregate_pair_with, LockstepPair, PairStats};
 use nav_graph::distance::DistRowBuf;
 use nav_graph::msbfs::LaneWidth;
 use nav_graph::{Graph, GraphError, NodeId};
@@ -16,6 +16,10 @@ use nav_par::rng::task_rng;
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// One query's answer, its dropped links (coin and churn), its rerouted
+/// hops, and its trial time when the query is traced.
+type Outcome = (PairStats, u64, u64, Option<f64>);
 
 /// Construction-time knobs of an [`Engine`].
 #[derive(Clone, Copy, Debug)]
@@ -29,21 +33,17 @@ pub struct EngineConfig {
     /// Row-cache capacity in bytes per cache partition (`0` = recompute
     /// every batch): a standalone [`Engine`] has one partition, a
     /// `k`-shard [`crate::ShardedEngine`] front has `k`, each under this
-    /// budget. The same byte knob caps each in-flight query's transient
-    /// ball-row cache under [`SamplerMode::Batched`].
+    /// budget. Under [`SamplerMode::Batched`] the same byte knob bounds
+    /// how many transient ball rows one fill of a batch holds (at least
+    /// one). Neither use can change an answer.
     pub cache_bytes: usize,
-    /// Per-step contact-sampling backend the trial workers build.
-    /// [`SamplerMode::Scalar`] keeps the engine bit-identical to
-    /// [`nav_core::trial::run_trials`] under its default config;
-    /// [`SamplerMode::Batched`] serves ball draws from 64-lane MS-BFS
-    /// row caches — same distributions, and bit-identical to
-    /// `run_trials` run in the same mode **as long as `cache_bytes`
-    /// leaves room for the ball rows** (it comfortably does under the
-    /// default). A binding budget only moves draws onto the scalar
-    /// fallback — different RNG consumption, identical distributions —
-    /// so `cache_bytes` joins the set of answer-determining inputs in
-    /// batched mode, while answers stay a pure function of the full
-    /// config either way.
+    /// Per-step contact-sampling backend. [`SamplerMode::Scalar`] keeps
+    /// the engine bit-identical to [`nav_core::trial::run_trials`] under
+    /// its default config, each query on its own worker;
+    /// [`SamplerMode::Batched`] runs a batch's ball walks as one lockstep
+    /// walk over a shared row cache filled by MS-BFS passes — same
+    /// distributions, and bit-identical to `run_trials` run in the same
+    /// mode.
     pub sampler: SamplerMode,
     /// Replacement policy of the cross-batch row cache. Distances are
     /// exact, so the policy can never change an answer — only hit rates
@@ -67,10 +67,8 @@ pub struct EngineConfig {
     pub obs: ObsConfig,
     /// MS-BFS word-block width for the cold-fill passes and the batched
     /// sampler backends: 64, 128 or 256 bit-lanes per pass. Distance rows
-    /// are exact at every width, so scalar-mode answers are bit-identical
-    /// across widths; batched ball answers at width `w` reproduce
-    /// [`nav_core::trial::run_trials`] at the same `w` bit for bit, and
-    /// are distribution-identical across widths.
+    /// are exact and ball rows canonical at every width, so answers are
+    /// bit-identical across widths in both sampler modes.
     pub width: LaneWidth,
 }
 
@@ -283,19 +281,16 @@ impl Engine {
     ///    parallel MS-BFS passes of `width` lanes fanned out to `threads`
     ///    workers, decoded straight into compact rows, each admitted to
     ///    its partition;
-    /// 4. **execute (trials)** — answer queries in parallel, query `i` of
-    ///    the batch using the RNG derived from
-    ///    `(seed, lifetime_index + i)`.
+    /// 4. **execute (trials)** — answer the queries, query `i` of the
+    ///    batch using the RNG derived from `(seed, lifetime_index + i)`:
+    ///    in parallel, one query per worker, or — when the sampler wants
+    ///    lockstep rounds (the ball-row cache) — as one lockstep walk
+    ///    whose rounds fill every query's misses together.
     ///
     /// Answers are a pure function of `(graph, scheme, seed, query
-    /// sequence)`: thread count, cache capacity and batch splits never
-    /// change a bit. (One carve-out: under [`SamplerMode::Batched`] a
-    /// `cache_bytes` budget small enough to evict ball rows changes
-    /// *when RNG values are consumed* — answers are then a pure function
-    /// of the config *including* `cache_bytes`, with unchanged
-    /// distributions; see [`EngineConfig::sampler`].) Errors on an
-    /// out-of-range endpoint; the engine state is unchanged in that
-    /// case.
+    /// sequence)`: thread count, cache capacity, lane width and batch
+    /// splits never change a bit. Errors on an out-of-range endpoint;
+    /// the engine state is unchanged in that case.
     pub fn serve(&mut self, batch: &QueryBatch) -> Result<BatchResult, GraphError> {
         let result = self.serve_at(batch, self.served, self.cfg.sampler)?;
         self.served += batch.len() as u64;
@@ -386,56 +381,99 @@ impl Engine {
         // Trace sampling is pure in the query's RNG index, so the traced
         // set is identical whatever thread or batch split runs the query.
         let tracer = self.obs.sampler();
-        let outcomes: Vec<(PairStats, SamplerStats, u64, u64, Option<f64>)> =
-            nav_par::parallel_map(batch.len(), self.cfg.threads, |i| {
-                let q = &batch.queries[i];
-                let index = base + i as u64;
-                let trace_clock = tracer.hits(index).then(Instant::now);
-                let row = rows.get(&q.t).expect("row staged above");
-                let mut router = GreedyRouter::from_row_view(&self.g, q.t, row.view())
-                    .expect("endpoints validated at admission");
-                // The query's churn epoch is a pure function of its RNG
-                // index, so a retried or re-sharded query always routes
-                // under the same down-node set.
-                if let Some(plan) = fault.plan {
-                    router = router.with_fault(plan, plan.epoch_of(index));
-                }
-                let mut rng = task_rng(self.cfg.seed, index);
-                // Per-query transient sampler state, byte-capped by the
-                // engine's one memory knob; freed when the query answers.
-                let inner = sampler_for_w(
-                    self.scheme.as_ref(),
-                    &self.g,
-                    sampler,
-                    self.cfg.cache_bytes,
-                    self.cfg.width,
-                );
-                let (stats, sampler_stats, coin_drops) = if fault.drop_prob > 0.0 {
-                    let mut s = FaultySampler::new(inner, fault.drop_prob);
+        let g = &self.g;
+        let router_for = |i: usize| {
+            let q = &batch.queries[i];
+            let row = rows.get(&q.t).expect("row staged above");
+            let router = GreedyRouter::from_row_view(g, q.t, row.view())
+                .expect("endpoints validated at admission");
+            // The query's churn epoch is a pure function of its RNG
+            // index, so a retried or re-sharded query always routes
+            // under the same down-node set.
+            match fault.plan {
+                Some(plan) => router.with_fault(plan, plan.epoch_of(base + i as u64)),
+                None => router,
+            }
+        };
+        // Transient sampler state, byte-capped per fill by the engine's
+        // one memory knob; freed when the batch answers.
+        let new_sampler = || {
+            sampler_for_w(
+                self.scheme.as_ref(),
+                g,
+                sampler,
+                self.cfg.cache_bytes,
+                self.cfg.width,
+            )
+        };
+        let mut shared = new_sampler();
+        let (outcomes, sampler_stats): (Vec<Outcome>, SamplerStats) = if shared.wants_lockstep() {
+            // One lockstep walk for the whole batch: every round's misses
+            // share one fill over `threads` workers. Draws depend only on
+            // the node and the query's RNG, so each answer is the one the
+            // query gets served alone.
+            let clock = Instant::now();
+            let routers: Vec<GreedyRouter<'_>> = (0..batch.len()).map(router_for).collect();
+            let mut rngs: Vec<_> = (0..batch.len() as u64)
+                .map(|i| task_rng(self.cfg.seed, base + i))
+                .collect();
+            let mut pairs: Vec<LockstepPair<'_>> = batch
+                .queries
+                .iter()
+                .zip(&routers)
+                .zip(rngs.iter_mut())
+                .map(|((q, router), rng)| LockstepPair {
+                    router,
+                    s: q.s,
+                    trials: q.trials,
+                    rng,
+                    coin: DropCoin::new(fault.drop_prob),
+                })
+                .collect();
+            shared.set_threads(self.cfg.threads);
+            let answers = aggregate_lockstep(shared.as_mut(), &mut pairs, self.cap);
+            // The walks interleave, so a traced query's trial time is
+            // the batch's.
+            let trials_ms = clock.elapsed().as_secs_f64() * 1e3;
+            let outcomes = answers
+                .into_iter()
+                .zip(&pairs)
+                .enumerate()
+                .map(|(i, (stats, pair))| {
+                    let (churn_drops, rerouted) = pair.router.fault_counts();
+                    let traced = tracer.hits(base + i as u64).then_some(trials_ms);
+                    (stats, pair.coin.dropped() + churn_drops, rerouted, traced)
+                })
+                .collect();
+            (outcomes, shared.stats())
+        } else {
+            let per_query: Vec<(Outcome, SamplerStats)> =
+                nav_par::parallel_map(batch.len(), self.cfg.threads, |i| {
+                    let q = &batch.queries[i];
+                    let index = base + i as u64;
+                    let trace_clock = tracer.hits(index).then(Instant::now);
+                    let router = router_for(i);
+                    let mut rng = task_rng(self.cfg.seed, index);
+                    let mut s = FaultySampler::new(new_sampler(), fault.drop_prob);
                     let stats =
                         aggregate_pair_with(&router, &mut s, q.s, &mut rng, q.trials, self.cap);
-                    (stats, s.stats(), s.dropped())
-                } else {
-                    let mut s = inner;
-                    let stats =
-                        aggregate_pair_with(&router, s.as_mut(), q.s, &mut rng, q.trials, self.cap);
-                    (stats, s.stats(), 0)
-                };
-                let (churn_drops, rerouted) = router.fault_counts();
-                let trace_ms = trace_clock.map(|c| c.elapsed().as_secs_f64() * 1e3);
-                (
-                    stats,
-                    sampler_stats,
-                    coin_drops + churn_drops,
-                    rerouted,
-                    trace_ms,
-                )
-            });
+                    let (churn_drops, rerouted) = router.fault_counts();
+                    let trace_ms = trace_clock.map(|c| c.elapsed().as_secs_f64() * 1e3);
+                    (
+                        (stats, s.dropped() + churn_drops, rerouted, trace_ms),
+                        s.stats(),
+                    )
+                });
+            let mut total = SamplerStats::default();
+            for (_, ss) in &per_query {
+                total.merge(ss);
+            }
+            (per_query.into_iter().map(|(o, _)| o).collect(), total)
+        };
         let mut answers = Vec::with_capacity(outcomes.len());
-        let mut sampler_stats = SamplerStats::default();
         let mut dropped_links = 0u64;
         let mut rerouted_hops = 0u64;
-        for (i, (ps, ss, dropped, rerouted, trace_ms)) in outcomes.into_iter().enumerate() {
+        for (i, (ps, dropped, rerouted, trace_ms)) in outcomes.into_iter().enumerate() {
             if let Some(trials_ms) = trace_ms {
                 let q = &batch.queries[i];
                 self.obs.record_trace(QueryTrace {
@@ -454,7 +492,6 @@ impl Engine {
                 });
             }
             answers.push(ps);
-            sampler_stats.merge(&ss);
             dropped_links += dropped;
             rerouted_hops += rerouted;
         }
@@ -692,10 +729,8 @@ mod tests {
 
     #[test]
     fn wide_batched_engine_matches_run_trials_at_same_width() {
-        // At a fixed width the engine and run_trials build the same
-        // BallRowSampler, so batched answers reproduce run_trials bit for
-        // bit at *every* width (across widths they are only
-        // distribution-identical: row fill order differs).
+        // Ball rows are canonical at every width, so batched answers
+        // reproduce run_trials bit for bit at *every* width.
         use nav_core::ball::BallScheme;
         let g = path(72);
         let scheme = BallScheme::new(&g);
@@ -730,22 +765,22 @@ mod tests {
 
     #[test]
     fn binding_ball_row_budget_stays_correct_and_deterministic() {
-        // cache_bytes = 0 starves the ball-row cache: every draw takes
-        // the scalar fallback. Answers are then *not* the unbounded
-        // batched stream — but they stay failure-free and a pure
-        // function of the config (thread count still invisible).
+        // cache_bytes = 0 still holds one ball row per fill: a lockstep
+        // round then fills one row at a time, in draw order. Rows are
+        // canonical, so answers are the unbounded ones (and run_trials'),
+        // bit for bit, at any thread count.
         use nav_core::ball::BallScheme;
         let g = path(60);
         let scheme = BallScheme::new(&g);
         let pairs: Vec<(NodeId, NodeId)> = (0..6).map(|i| (i * 9, 59 - i)).collect();
-        let serve = |threads: usize| {
+        let serve = |threads: usize, cache_bytes: usize| {
             let mut e = Engine::new(
                 g.clone(),
                 Box::new(scheme),
                 EngineConfig {
                     seed: 3,
                     threads,
-                    cache_bytes: 0,
+                    cache_bytes,
                     sampler: SamplerMode::Batched,
                     ..EngineConfig::default()
                 },
@@ -753,12 +788,15 @@ mod tests {
             let r = e.serve(&QueryBatch::from_pairs(&pairs, 5)).unwrap();
             (r, e.metrics().sampler)
         };
-        let (r1, s1) = serve(1);
-        let (r4, s4) = serve(4);
+        let (r1, s1) = serve(1, 0);
+        let (r4, s4) = serve(4, 0);
+        let (unbounded, su) = serve(2, 1 << 20);
         assert!(identical(&r1.answers, &r4.answers));
+        assert!(identical(&r1.answers, &unbounded.answers));
         assert_eq!(s1, s4);
-        assert!(s1.fallbacks > 0, "{s1:?}");
-        assert_eq!(s1.rows, 0);
+        assert_eq!(s1.fallbacks, 0, "{s1:?}");
+        assert_eq!(s1.rows, s1.passes, "one row per fill: {s1:?}");
+        assert!(s1.rows > su.rows, "{s1:?} vs {su:?}");
         assert_eq!(r1.answers.iter().map(|a| a.failures).sum::<usize>(), 0);
     }
 

@@ -319,6 +319,100 @@ proptest! {
     }
 
     #[test]
+    fn batched_ball_serving_is_width_cap_and_split_invariant(
+        g in connected_graph(40),
+        seed in 0u64..500,
+        split in 1usize..8,
+    ) {
+        // A batch's walks share one ball-row sampler, but every answer is
+        // the one run_trials gives the query alone — at every thread
+        // count, batch split, lane width and ball-row budget (one row per
+        // fill up to the default), with and without link drops — and
+        // each query's traced link drops are the ones it sees alone.
+        use navigability::core::routing::default_step_cap;
+        use navigability::core::sampler::SamplerMode;
+        use navigability::core::trial::aggregate_pair_with;
+        use navigability::core::{BallRowSampler, FaultySampler};
+        use navigability::graph::msbfs::LaneWidth;
+        use navigability::obs::ObsConfig;
+        use navigability::par::rng::task_rng;
+        let n = g.num_nodes() as NodeId;
+        let pairs: Vec<(NodeId, NodeId)> =
+            (0..12u32).map(|i| ((i * 7) % n, (i * 3 + 1) % n)).collect();
+        let trials = 3;
+        let ball = BallScheme::new(&g);
+        let cap = default_step_cap(&g);
+        for drop_prob in [0.0, 0.25] {
+            let reference = run_trials(
+                &g,
+                &FaultyScheme::new(ball, drop_prob),
+                &pairs,
+                &TrialConfig {
+                    trials_per_pair: trials, seed, threads: 1, sampler: SamplerMode::Batched,
+                    ..TrialConfig::default()
+                },
+            )
+            .expect("valid pairs");
+            let dropped_alone: Vec<u64> = pairs
+                .iter()
+                .enumerate()
+                .map(|(i, &(s, t))| {
+                    let router = GreedyRouter::new(&g, t).expect("valid target");
+                    let mut alone =
+                        FaultySampler::new(BallRowSampler::new(ball, usize::MAX), drop_prob);
+                    let mut rng = task_rng(seed, i as u64);
+                    aggregate_pair_with(&router, &mut alone, s, &mut rng, trials, cap);
+                    alone.dropped()
+                })
+                .collect();
+            for threads in [1usize, 2] {
+                for width in LaneWidth::ALL {
+                    for cache_bytes in [1usize, EngineConfig::default().cache_bytes] {
+                        for batch in [split, pairs.len()] {
+                            let mut engine = Engine::new(
+                                g.clone(),
+                                Box::new(ball),
+                                EngineConfig {
+                                    seed,
+                                    threads,
+                                    cache_bytes,
+                                    sampler: SamplerMode::Batched,
+                                    fault: FaultConfig { drop_prob, plan: None },
+                                    obs: ObsConfig {
+                                        stages: false,
+                                        trace_every: 1,
+                                        trace_capacity: pairs.len(),
+                                    },
+                                    width,
+                                    ..EngineConfig::default()
+                                },
+                            );
+                            let mut answers = Vec::new();
+                            for chunk in pairs.chunks(batch) {
+                                answers.extend(
+                                    engine
+                                        .serve(&QueryBatch::from_pairs(chunk, trials))
+                                        .expect("valid pairs")
+                                        .answers,
+                                );
+                            }
+                            let at = format!(
+                                "p={drop_prob} threads={threads} width={width} cache={cache_bytes} batch={batch}"
+                            );
+                            prop_assert!(identical(&answers, &reference.pairs), "answers at {}", at);
+                            let mut traces = engine.obs_snapshot().traces;
+                            traces.sort_by_key(|t| t.index);
+                            let dropped: Vec<u64> = traces.iter().map(|t| t.dropped_links).collect();
+                            prop_assert_eq!(&dropped, &dropped_alone, "dropped links at {}", at);
+                            prop_assert_eq!(engine.metrics().sampler.fallbacks, 0);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn zero_drop_wrapper_preserves_the_inner_rng_stream(
         g in connected_graph(36),
         seed in 0u64..500,
